@@ -38,15 +38,43 @@ class Client {
   /// mh_write: asynchronous send on a named interface. Goes through the
   /// cached endpoint handle, so steady-state writes resolve no strings.
   void write(const std::string& iface, std::vector<ser::Value> values) {
-    bus_->send(port(iface), std::move(values));
+    write(port(iface), std::move(values));
   }
   /// mh_query_ifmsgs: true if a message is queued on the interface.
   [[nodiscard]] bool query_ifmsgs(const std::string& iface) {
-    return bus_->has_message(port(iface));
+    return query_ifmsgs(port(iface));
   }
   /// Non-blocking mh_read; the VM turns nullopt into a blocked process.
   [[nodiscard]] std::optional<Message> try_read(const std::string& iface) {
-    return bus_->receive(port(iface));
+    return try_read(port(iface));
+  }
+
+  /// Endpoint handle of one of this module's interfaces, for callers that
+  /// cache it per call site (the VM's builtin sites) and use the overloads
+  /// below. It stays usable while Bus::endpoint_current holds; it goes
+  /// stale when the module leaves the bus (e.g. clone promotion reusing
+  /// the module name), and port() re-resolves it.
+  [[nodiscard]] EndpointRef port(const std::string& iface) {
+    for (Port& p : ports_) {
+      if (p.iface == iface) {
+        if (!bus_->endpoint_current(p.ref)) {
+          p.ref = bus_->resolve_endpoint(module_, iface);
+        }
+        return p.ref;
+      }
+    }
+    EndpointRef ref = bus_->resolve_endpoint(module_, iface);
+    ports_.push_back(Port{iface, ref});
+    return ref;
+  }
+  void write(EndpointRef port, std::vector<ser::Value> values) {
+    bus_->send(port, std::move(values));
+  }
+  [[nodiscard]] bool query_ifmsgs(EndpointRef port) const {
+    return bus_->has_message(port);
+  }
+  [[nodiscard]] std::optional<Message> try_read(EndpointRef port) {
+    return bus_->receive(port);
   }
 
   /// Pending reconfiguration signal, consumed at a statement boundary.
@@ -107,29 +135,13 @@ class Client {
   [[nodiscard]] Bus& bus() noexcept { return *bus_; }
 
  private:
+  /// Cached (iface -> endpoint handle) resolution behind port(), mirroring
+  /// how the bus pre-resolves trc::Recorder::Site slots. A module has a
+  /// handful of interfaces, so the linear scan is one short string compare.
   struct Port {
     std::string iface;
     EndpointRef ref = kNullEndpointRef;
   };
-
-  /// Cached (iface -> endpoint handle) resolution, mirroring how the bus
-  /// pre-resolves trc::Recorder::Site slots. A module has a handful of
-  /// interfaces, so the linear scan is one short string compare; a stale
-  /// handle (the name was re-registered, e.g. clone promotion reusing the
-  /// module name) re-resolves through the string shim.
-  [[nodiscard]] EndpointRef port(const std::string& iface) {
-    for (Port& p : ports_) {
-      if (p.iface == iface) {
-        if (!bus_->endpoint_current(p.ref)) {
-          p.ref = bus_->resolve_endpoint(module_, iface);
-        }
-        return p.ref;
-      }
-    }
-    EndpointRef ref = bus_->resolve_endpoint(module_, iface);
-    ports_.push_back(Port{iface, ref});
-    return ref;
-  }
 
   Bus* bus_;
   std::string module_;

@@ -71,4 +71,12 @@ std::string format_of(const std::vector<ValueKind>& kinds) {
   return s;
 }
 
+const FormatCache::Entry& FormatCache::get(std::string_view format) {
+  for (const Entry& e : entries_) {
+    if (e.text == format) return e;
+  }
+  std::vector<ValueKind> kinds = parse_format(format);
+  return entries_.emplace_back(Entry{std::string(format), std::move(kinds)});
+}
+
 }  // namespace surgeon::support

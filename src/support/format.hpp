@@ -15,6 +15,7 @@
 // examples ("llF", "iiF", "iif") to parse unchanged.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,5 +36,24 @@ enum class ValueKind : std::uint8_t { kInt, kReal, kString, kPointer };
 
 /// Inverse of parse_format.
 [[nodiscard]] std::string format_of(const std::vector<ValueKind>& kinds);
+
+/// Memo of parse_format: each distinct format string is parsed once. Entries
+/// never move, so a caller may keep a pointer to one and revalidate it by
+/// comparing `text` with the format in hand. Sema admits only literal
+/// formats, so a program's entries are bounded by its format literals.
+class FormatCache {
+ public:
+  struct Entry {
+    std::string text;
+    std::vector<ValueKind> kinds;
+  };
+
+  /// Throws ParseError on an unrecognized character. A bad format is never
+  /// cached, so every lookup of it throws.
+  [[nodiscard]] const Entry& get(std::string_view format);
+
+ private:
+  std::deque<Entry> entries_;
+};
 
 }  // namespace surgeon::support

@@ -266,8 +266,15 @@ Machine::Machine(const CompiledProgram& program, net::Arch arch,
                                            : from_abstract(g.init));
   }
   decoded_.resize(program.functions.size());
+  frame_pool_.reserve(kFramePoolCap);
   sync_rt_consts();
   push_frame(program.main_index, 0);
+}
+
+void Machine::attach_client(bus::Client* client) noexcept {
+  client_ = client;
+  // Builtin sites cache endpoint handles of the old client's module.
+  for (auto& d : decoded_) d.reset();
 }
 
 void Machine::sync_rt_consts() {
@@ -296,8 +303,8 @@ const DecodedInsn* Machine::decoded_code(std::uint32_t fn_index,
       targets = run_threaded(nullptr, 0);
     }
 #endif
-    auto vec = std::make_unique<std::vector<DecodedInsn>>();
-    vec->reserve(fn.code.size() + 1);
+    auto dfn = std::make_unique<DecodedFunction>();
+    dfn->code.reserve(fn.code.size() + 1);
     for (const Insn& insn : fn.code) {
       DecodedInsn d;
       d.op = insn.op;
@@ -306,18 +313,22 @@ const DecodedInsn* Machine::decoded_code(std::uint32_t fn_index,
       if (targets != nullptr) {
         d.target = targets[static_cast<std::size_t>(insn.op)];
       }
-      vec->push_back(d);
+      if (insn.op == Op::kBuiltin) {
+        d.site = static_cast<std::uint32_t>(dfn->sites.size());
+        dfn->sites.emplace_back();
+      }
+      dfn->code.push_back(d);
     }
     // Sentinel: executing at index == size raises the off-the-end fault
     // without a per-instruction bounds check in the hot loop.
     DecodedInsn sentinel;
     sentinel.op = kOpOffEnd;
     if (targets != nullptr) sentinel.target = targets[kOpCount];
-    vec->push_back(sentinel);
-    slot = std::move(vec);
+    dfn->code.push_back(sentinel);
+    slot = std::move(dfn);
   }
-  size = static_cast<std::uint32_t>(slot->size() - 1);
-  return slot->data();
+  size = static_cast<std::uint32_t>(slot->code.size() - 1);
+  return slot->code.data();
 }
 
 const CompiledFunction& Machine::effective_function(
@@ -337,6 +348,11 @@ void Machine::push_frame(std::uint32_t fn_index, std::size_t nargs) {
   frame.fn = fn_index;
   frame.pc = 0;
   frame.id = next_frame_id_++;
+  for (auto* v : {&frame.slots, &frame.stack}) {
+    if (frame_pool_.empty()) break;
+    *v = std::move(frame_pool_.back());
+    frame_pool_.pop_back();
+  }
   frame.slots.reserve(fn.slot_types.size());
   for (SlotType t : fn.slot_types) frame.slots.push_back(default_slot_value(t));
   if (nargs > 0) {
@@ -350,18 +366,30 @@ void Machine::push_frame(std::uint32_t fn_index, std::size_t nargs) {
     }
   }
   frames_.push_back(std::move(frame));
-  frame_by_id_[frames_.back().id] = frames_.size() - 1;
   if (frames_.size() > 100'000) {
     throw VmError("activation record stack overflow (100000 frames)");
   }
 }
 
-RtValue Machine::pop() {
-  auto& stack = top().stack;
-  if (stack.empty()) throw VmError("operand stack underflow");
-  RtValue v = std::move(stack.back());
-  stack.pop_back();
-  return v;
+void Machine::pop_frame() {
+  Frame& frame = frames_.back();
+  for (auto* v : {&frame.slots, &frame.stack}) {
+    if (frame_pool_.size() == kFramePoolCap) break;
+    v->clear();
+    frame_pool_.push_back(std::move(*v));
+  }
+  frames_.pop_back();
+}
+
+RtValue& Machine::frame_slot(const Ref& r) {
+  auto it = std::lower_bound(
+      frames_.begin(), frames_.end(), r.a,
+      [](const Frame& f, std::uint64_t id) { return f.id < id; });
+  if (it == frames_.end() || it->id != r.a) {
+    throw VmError("dangling pointer: activation record no longer exists");
+  }
+  if (r.b >= it->slots.size()) throw VmError("bad frame reference");
+  return it->slots[r.b];
 }
 
 RtValue Machine::load_ref(const Ref& r) {
@@ -371,15 +399,8 @@ RtValue Machine::load_ref(const Ref& r) {
     case Ref::Kind::kGlobal:
       if (r.a >= globals_.size()) throw VmError("bad global reference");
       return globals_[r.a];
-    case Ref::Kind::kFrame: {
-      auto it = frame_by_id_.find(r.a);
-      if (it == frame_by_id_.end()) {
-        throw VmError("dangling pointer: activation record no longer exists");
-      }
-      auto& frame = frames_[it->second];
-      if (r.b >= frame.slots.size()) throw VmError("bad frame reference");
-      return frame.slots[r.b];
-    }
+    case Ref::Kind::kFrame:
+      return frame_slot(r);
     case Ref::Kind::kHeap: {
       auto it = heap_.find(r.a);
       if (it == heap_.end()) {
@@ -405,16 +426,9 @@ void Machine::store_ref(const Ref& r, RtValue v) {
       if (r.a >= globals_.size()) throw VmError("bad global reference");
       globals_[r.a] = std::move(v);
       return;
-    case Ref::Kind::kFrame: {
-      auto it = frame_by_id_.find(r.a);
-      if (it == frame_by_id_.end()) {
-        throw VmError("dangling pointer: activation record no longer exists");
-      }
-      auto& frame = frames_[it->second];
-      if (r.b >= frame.slots.size()) throw VmError("bad frame reference");
-      frame.slots[r.b] = std::move(v);
+    case Ref::Kind::kFrame:
+      frame_slot(r) = std::move(v);
       return;
-    }
     case Ref::Kind::kHeap: {
       auto it = heap_.find(r.a);
       if (it == heap_.end()) {
@@ -462,7 +476,6 @@ StepResult Machine::step(std::uint64_t max_insns) {
   }
   result.state = state_;
   result.sleep_us = pending_sleep_us_;
-  result.blocked_iface = blocked_iface_;
   pending_sleep_us_ = 0;
   return result;
 }
@@ -623,7 +636,8 @@ void Machine::materialize_heap(const ser::StateBuffer& buf) {
   }
 }
 
-bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
+bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs,
+                           BuiltinSite& site) {
   Frame& frame = top();
   auto& stack = frame.stack;
   if (stack.size() < nargs) throw VmError("builtin argument underflow");
@@ -639,22 +653,38 @@ bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
       throw VmError(std::string(what) + " requires a software bus connection");
     }
   };
+  // The site's cached format and endpoint, revalidated against the
+  // arguments in hand (see BuiltinSite).
+  auto site_format = [&](std::uint32_t i,
+                         const char* what) -> const std::vector<ValueKind>& {
+    const std::string& text = need_str(arg(i), what);
+    if (site.format == nullptr || site.format->text != text) {
+      site.format = &formats_.get(text);
+    }
+    return site.format->kinds;
+  };
+  auto site_port = [&](const std::string& iface) {
+    if (site.iface != iface || !client_->bus().endpoint_current(site.port)) {
+      site.port = client_->port(iface);
+      site.iface = iface;
+    }
+    return site.port;
+  };
 
   switch (static_cast<BuiltinId>(id)) {
     case BuiltinId::kMhRead: {
       require_client("mh_read");
       const std::string& iface = need_str(arg(0), "mh_read interface");
-      auto kinds = support::parse_format(need_str(arg(1), "mh_read format"));
-      if (!client_->query_ifmsgs(iface)) {
+      const auto& kinds = site_format(1, "mh_read format");
+      const bus::EndpointRef port = site_port(iface);
+      if (!client_->query_ifmsgs(port)) {
         // Block without consuming anything: the retry re-executes this
         // instruction with the arguments still on the operand stack.
         state_ = RunState::kBlockedRead;
-        blocked_iface_ = iface;
         --instructions_executed_;  // the retry will count it
         return false;
       }
-      blocked_iface_.clear();
-      auto msg = client_->try_read(iface);
+      auto msg = client_->try_read(port);
       if (!msg.has_value()) throw VmError("mh_read: message vanished");
       if (msg->values.size() != kinds.size()) {
         throw VmError("mh_read on '" + iface + "': message has " +
@@ -688,7 +718,7 @@ bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
     case BuiltinId::kMhWrite: {
       require_client("mh_write");
       const std::string& iface = need_str(arg(0), "mh_write interface");
-      auto kinds = support::parse_format(need_str(arg(1), "mh_write format"));
+      const auto& kinds = site_format(1, "mh_write format");
       std::vector<ser::Value> values;
       values.reserve(kinds.size());
       for (std::size_t i = 0; i < kinds.size(); ++i) {
@@ -705,19 +735,19 @@ bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
           values.push_back(abstract_of(v, kinds[i]));
         }
       }
-      client_->write(iface, std::move(values));
+      client_->write(site_port(iface), std::move(values));
       finish(std::nullopt);
       return true;
     }
     case BuiltinId::kMhQueryIfmsgs: {
       require_client("mh_query_ifmsgs");
       const std::string& iface = need_str(arg(0), "mh_query_ifmsgs");
-      bool has = client_->query_ifmsgs(iface);
+      bool has = client_->query_ifmsgs(site_port(iface));
       finish(RtValue{std::int64_t{has}});
       return true;
     }
     case BuiltinId::kMhCapture: {
-      auto kinds = support::parse_format(need_str(arg(0), "mh_capture format"));
+      const auto& kinds = site_format(0, "mh_capture format");
       ser::StateFrame sframe;
       sframe.values.reserve(kinds.size());
       for (std::size_t i = 0; i < kinds.size(); ++i) {
@@ -730,7 +760,7 @@ bool Machine::exec_builtin(std::uint8_t id, std::uint32_t nargs) {
       return true;
     }
     case BuiltinId::kMhRestore: {
-      auto kinds = support::parse_format(need_str(arg(0), "mh_restore format"));
+      const auto& kinds = site_format(0, "mh_restore format");
       if (!restore_buf_.has_value()) {
         throw VmError("mh_restore called before mh_decode");
       }
@@ -1104,14 +1134,18 @@ void Machine::restore_raw_frame_image(std::span<const std::uint8_t> bytes) {
   if (nglobals != globals_.size()) {
     throw VmError("frame image global count mismatch");
   }
-  for (auto& g : globals_) g = read_rt_value(r, arch_.slot_padding);
+  // Decode into locals and commit only once the whole image has parsed, so
+  // a rejected image leaves the machine as it was.
+  std::vector<RtValue> globals;
+  globals.reserve(nglobals);
+  for (std::uint32_t i = 0; i < nglobals; ++i) {
+    globals.push_back(read_rt_value(r, arch_.slot_padding));
+  }
   auto nframes = r.get_u32();
   if (nframes == 0 || nframes > 100'000) {
     throw VmError("frame image corrupt: implausible frame count");
   }
-  frames_.clear();
-  frame_by_id_.clear();
-  std::uint64_t max_id = 0;
+  std::vector<Frame> frames;
   for (std::uint32_t i = 0; i < nframes; ++i) {
     Frame f;
     f.fn = r.get_u32();
@@ -1120,7 +1154,12 @@ void Machine::restore_raw_frame_image(std::span<const std::uint8_t> bytes) {
     }
     f.pc = r.get_u32();
     f.id = r.get_u64();
-    max_id = std::max(max_id, f.id);
+    // frame_slot binary-searches frames_ by id: a repeated or decreasing id
+    // would resolve a &local to the wrong activation record.
+    if (!frames.empty() && f.id <= frames.back().id) {
+      throw VmError("frame image corrupt: frame id " + std::to_string(f.id) +
+                    " does not increase along the stack");
+    }
     auto nslots = r.get_u32();
     for (std::uint32_t s = 0; s < nslots; ++s) {
       f.slots.push_back(read_rt_value(r, arch_.slot_padding));
@@ -1129,10 +1168,11 @@ void Machine::restore_raw_frame_image(std::span<const std::uint8_t> bytes) {
     for (std::uint32_t s = 0; s < nstack; ++s) {
       f.stack.push_back(read_rt_value(r, arch_.slot_padding));
     }
-    frames_.push_back(std::move(f));
-    frame_by_id_[frames_.back().id] = frames_.size() - 1;
+    frames.push_back(std::move(f));
   }
-  next_frame_id_ = max_id + 1;
+  globals_ = std::move(globals);
+  frames_ = std::move(frames);
+  next_frame_id_ = frames_.back().id + 1;
   state_ = RunState::kRunnable;
 }
 
@@ -1141,7 +1181,6 @@ void Machine::restore_raw_frame_image(std::span<const std::uint8_t> bytes) {
 struct Machine::Snapshot {
   std::vector<RtValue> globals;
   std::vector<Frame> frames;
-  std::map<std::uint64_t, std::size_t> frame_by_id;
   std::map<std::uint64_t, HeapObject> heap;
   std::uint64_t next_frame_id = 1;
   std::uint64_t next_heap_id = 1;
@@ -1161,7 +1200,6 @@ std::shared_ptr<Machine::Snapshot> Machine::checkpoint() const {
   auto snap = std::make_shared<Snapshot>();
   snap->globals = globals_;
   snap->frames = frames_;
-  snap->frame_by_id = frame_by_id_;
   snap->heap = heap_;
   snap->next_frame_id = next_frame_id_;
   snap->next_heap_id = next_heap_id_;
@@ -1185,7 +1223,6 @@ std::shared_ptr<Machine::Snapshot> Machine::checkpoint() const {
 void Machine::rollback(const Snapshot& snapshot) {
   globals_ = snapshot.globals;
   frames_ = snapshot.frames;
-  frame_by_id_ = snapshot.frame_by_id;
   heap_ = snapshot.heap;
   next_frame_id_ = snapshot.next_frame_id;
   next_heap_id_ = snapshot.next_heap_id;

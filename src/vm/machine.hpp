@@ -26,6 +26,7 @@
 #include "bus/client.hpp"
 #include "net/arch.hpp"
 #include "serialize/state.hpp"
+#include "support/format.hpp"
 #include "support/rng.hpp"
 #include "vm/bytecode.hpp"
 
@@ -48,7 +49,7 @@ using RtValue = std::variant<std::int64_t, double, std::string, Ref>;
 
 enum class RunState : std::uint8_t {
   kRunnable,
-  kBlockedRead,    // waiting for a message on blocked_iface
+  kBlockedRead,    // waiting for a message (mh_read)
   kBlockedDecode,  // waiting for an abstract state buffer
   kSleeping,       // sleep() called; resume after sleep_us
   kDone,           // main returned
@@ -59,7 +60,6 @@ struct StepResult {
   RunState state = RunState::kRunnable;
   std::uint64_t instructions = 0;   // executed during this slice
   std::uint64_t sleep_us = 0;       // when kSleeping
-  std::string blocked_iface;        // when kBlockedRead
 };
 
 /// How the dispatch loop gets from one instruction to the next.
@@ -89,6 +89,7 @@ struct DecodedInsn {
   std::int32_t a = 0;
   std::int32_t b = 0;
   Op op = Op::kStmt;
+  std::uint32_t site = 0;  // kBuiltin: index of its BuiltinSite
 };
 
 class Machine;
@@ -117,7 +118,8 @@ class Machine {
 
   /// Connects the machine to the software bus as a named module. Without a
   /// client, bus builtins fault and status/clock report standalone values.
-  void attach_client(bus::Client* client) noexcept { client_ = client; }
+  /// Drops the endpoint handles cached for the previous client.
+  void attach_client(bus::Client* client) noexcept;
 
   /// Executes up to max_insns instructions. Never throws for program-level
   /// errors; they surface as RunState::kFault. A superinstruction counts as
@@ -154,6 +156,12 @@ class Machine {
   [[nodiscard]] std::size_t stack_depth() const noexcept {
     return frames_.size();
   }
+  /// Slot/operand vectors of popped activation records kept for reuse by
+  /// the next calls; never more than kFramePoolCap.
+  [[nodiscard]] std::size_t pooled_frame_vectors() const noexcept {
+    return frame_pool_.size();
+  }
+  static constexpr std::size_t kFramePoolCap = 64;
   /// Number of successful mh_decode calls (state installations begun).
   [[nodiscard]] std::uint64_t decode_count() const noexcept {
     return decode_count_;
@@ -305,15 +313,29 @@ class Machine {
   struct HeapObject {
     std::vector<RtValue> cells;
   };
+  /// What one kBuiltin call site last resolved: its format string's parsed
+  /// kinds and its interface's endpoint handle. Each is revalidated on use
+  /// (same format text; same interface name and a current handle), so a
+  /// format or interface held in a variable is honoured when it changes.
+  struct BuiltinSite {
+    const support::FormatCache::Entry* format = nullptr;
+    std::string iface;
+    bus::EndpointRef port = bus::kNullEndpointRef;
+  };
+  /// One function's decoded code (with the off-the-end sentinel) and the
+  /// builtin sites its kBuiltin instructions index.
+  struct DecodedFunction {
+    std::vector<DecodedInsn> code;
+    std::vector<BuiltinSite> sites;
+  };
 
   void push_frame(std::uint32_t fn_index, std::size_t nargs);
+  /// Pops the top activation record, recycling its vectors into frame_pool_.
+  void pop_frame();
   [[nodiscard]] Frame& top() { return frames_.back(); }
   [[nodiscard]] const CompiledFunction& fn_of(const Frame& f) const {
     return effective_function(f.fn);
   }
-
-  [[nodiscard]] RtValue pop();
-  void push(RtValue v) { top().stack.push_back(std::move(v)); }
 
   // The dispatch loops (bodies in machine_loop.inc, included twice from
   // machine.cpp). Passing resultp == nullptr asks the threaded variant for
@@ -330,11 +352,15 @@ class Machine {
   /// Rebuilds rt_consts_ from the program + extra constant pools.
   void sync_rt_consts();
 
-  bool exec_builtin(std::uint8_t id, std::uint32_t nargs);
+  bool exec_builtin(std::uint8_t id, std::uint32_t nargs, BuiltinSite& site);
 
   // Pointer plumbing.
   [[nodiscard]] RtValue load_ref(const Ref& r);
   void store_ref(const Ref& r, RtValue v);
+  /// The slot a frame reference names. Frame ids strictly increase along
+  /// frames_, so this is a binary search; a popped frame's id is never
+  /// reissued, so a reference that outlived its frame finds nothing.
+  [[nodiscard]] RtValue& frame_slot(const Ref& r);
 
   // Abstract state capture/restore (the mh_capture/mh_restore builtins).
   [[nodiscard]] ser::Value abstract_of(const RtValue& v,
@@ -351,10 +377,11 @@ class Machine {
   bus::Client* client_ = nullptr;
 
   std::vector<RtValue> globals_;
+  /// Activation records, bottom (main) to top; ids strictly increase.
   std::vector<Frame> frames_;
-  /// frame id -> index in frames_. An index is stable for the frame's whole
-  /// lifetime (frames_ only pushes and pops at the back).
-  std::map<std::uint64_t, std::size_t> frame_by_id_;
+  /// Emptied vectors of popped frames, reused by push_frame so steady-state
+  /// calls allocate nothing. Capped at kFramePoolCap.
+  std::vector<std::vector<RtValue>> frame_pool_;
   std::map<std::uint64_t, HeapObject> heap_;
   std::uint64_t next_frame_id_ = 1;
   std::uint64_t next_heap_id_ = 1;
@@ -380,7 +407,6 @@ class Machine {
 
   RunState state_ = RunState::kRunnable;
   std::string fault_message_;
-  std::string blocked_iface_;
   std::uint64_t pending_sleep_us_ = 0;
   std::uint64_t instructions_executed_ = 0;
 
@@ -394,8 +420,10 @@ class Machine {
 
   DispatchMode dispatch_mode_ = default_dispatch_mode();
   /// Per-function decoded code, indexed by function index; entries are
-  /// stable once created (unique_ptr to a vector that never grows).
-  std::vector<std::unique_ptr<std::vector<DecodedInsn>>> decoded_;
+  /// stable once created (unique_ptr to vectors that never grow).
+  std::vector<std::unique_ptr<DecodedFunction>> decoded_;
+  /// Parsed format strings of mh_read/mh_write/mh_capture/mh_restore.
+  support::FormatCache formats_;
   /// Constants pre-materialized as runtime values, so kPushConst is a copy
   /// instead of a per-execution abstract-value conversion.
   std::vector<RtValue> rt_consts_;

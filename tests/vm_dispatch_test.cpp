@@ -15,6 +15,10 @@
 #include <tuple>
 #include <vector>
 
+#include "app/runtime.hpp"
+#include "app/samples.hpp"
+#include "bus/bus.hpp"
+#include "cfg/parser.hpp"
 #include "chaos/scenario.hpp"
 #include "minic/parser.hpp"
 #include "minic/sema.hpp"
@@ -450,13 +454,233 @@ TEST(DispatchParity, SamplesInsideFusedSequencesLandOnComponentBoundaries) {
   }
 }
 
-// --- the 215-seed chaos spot-check ------------------------------------------
+// --- builtin sites and the frame pool ---------------------------------------
 
 /// Restores the process-wide default dispatch mode even on test failure.
 struct DefaultModeGuard {
   DispatchMode saved = default_dispatch_mode();
   ~DefaultModeGuard() { set_default_dispatch_mode(saved); }
 };
+
+std::vector<DispatchMode> all_modes() {
+  std::vector<DispatchMode> modes{DispatchMode::kSwitch};
+  if (threaded_dispatch_supported()) modes.push_back(DispatchMode::kThreaded);
+  return modes;
+}
+
+/// Sema admits only literal formats and interface names, but the VM takes
+/// both from the operand stack. This rewrites the kPushConst of string
+/// literal `literal` in main into a kLoadSlot of local `var`, so the builtin
+/// it feeds reads its argument from a variable the program can change.
+/// `prog` must be compiled unfused: a fused head would still push the
+/// literal itself.
+void feed_from_variable(CompiledProgram& prog, const std::string& literal,
+                        const std::string& var) {
+  CompiledFunction& fn = prog.functions[prog.main_index];
+  std::int32_t slot = -1;
+  for (std::size_t i = 0; i < fn.slot_names.size(); ++i) {
+    if (fn.slot_names[i] == var) slot = static_cast<std::int32_t>(i);
+  }
+  ASSERT_GE(slot, 0) << var;
+  int patched = 0;
+  for (Insn& insn : fn.code) {
+    if (insn.op != Op::kPushConst) continue;
+    const ser::Value& c = prog.constants[static_cast<std::size_t>(insn.a)];
+    if (c.is_string() && c.as_string() == literal) {
+      insn = Insn{Op::kLoadSlot, slot, 0};
+      ++patched;
+    }
+  }
+  ASSERT_EQ(patched, 1) << literal;
+}
+
+TEST(BuiltinSites, DanglingFrameRefFaultsAfterItsStorageIsRecycled) {
+  // set()'s frame is popped and its vectors go to the pool; churn()'s
+  // frames reuse them and have newer ids. The escaped &x, used from the
+  // deepest churn(), must still fault, for loads and stores alike, rather
+  // than reach whichever frame took the storage.
+  for (const char* use : {"print(*g);", "*g = 3;"}) {
+    const std::string src = std::string(R"(
+int *g;
+void set() { int x; x = 7; g = &x; }
+void churn(int n) {
+  int a; a = n;
+  if (n > 0) { churn(n - 1); } else { )") + use + R"( }
+}
+void main() { set(); churn(10); }
+)";
+    auto prog = compile_opts(src, /*fuse=*/true);
+    Trace t = check_modes(prog, {}, use);
+    EXPECT_EQ(t.state, RunState::kFault) << use;
+    EXPECT_NE(t.fault.find("dangling pointer"), std::string::npos) << t.fault;
+  }
+}
+
+TEST(BuiltinSites, DeepRecursionLeavesTheFramePoolCapped) {
+  auto prog = compile_opts(R"(
+int depth(int n) { if (n <= 0) { return 0; } return depth(n - 1) + 1; }
+void main() { print(depth(10000)); print(depth(10000)); }
+)",
+                           /*fuse=*/true);
+  for (DispatchMode mode : all_modes()) {
+    Machine m(prog, net::arch_vax());
+    m.set_dispatch_mode(mode);
+    (void)m.run(50'000'000);
+    ASSERT_EQ(m.state(), RunState::kDone) << m.fault_message();
+    EXPECT_EQ(m.output(), (std::vector<std::string>{"10000", "10000"}));
+    EXPECT_EQ(m.pooled_frame_vectors(), Machine::kFramePoolCap);
+  }
+}
+
+TEST(BuiltinSites, BadFormatThrowsOnEveryExecution) {
+  // The first pass caches "i" at the capture site; the second hands the
+  // same site a bad format, which must fault, and keep faulting when the
+  // machine is rolled back and runs into it again.
+  auto prog = compile_opts(R"(
+void main() {
+  string f; int n; int i;
+  n = 3; i = 0;
+  while (i < 2) {
+    if (i == 0) { f = "i"; } else { f = "q"; }
+    mh_capture("I", n);
+    i = i + 1;
+  }
+}
+)",
+                           /*fuse=*/false);
+  feed_from_variable(prog, "I", "f");
+  for (DispatchMode mode : all_modes()) {
+    Machine m(prog, net::arch_vax());
+    m.set_dispatch_mode(mode);
+    auto start = m.checkpoint();
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      (void)m.run();
+      ASSERT_EQ(m.state(), RunState::kFault) << "attempt " << attempt;
+      EXPECT_NE(m.fault_message().find("bad format character 'q'"),
+                std::string::npos)
+          << m.fault_message();
+      m.rollback(*start);
+    }
+    EXPECT_EQ(m.capture_frames_total(), 3u);  // one good capture per pass
+  }
+}
+
+TEST(BuiltinSites, FormatHeldInAVariableIsHonoured) {
+  auto prog = compile_opts(R"(
+void main() {
+  string f; int n; int i;
+  n = 3; i = 0;
+  while (i < 4) {
+    if (i % 2 == 1) { f = "F"; } else { f = "i"; }
+    mh_capture("I", n);
+    i = i + 1;
+  }
+  mh_encode();
+}
+)",
+                           /*fuse=*/false);
+  feed_from_variable(prog, "I", "f");
+  for (DispatchMode mode : all_modes()) {
+    Machine m(prog, net::arch_vax());
+    m.set_dispatch_mode(mode);
+    (void)m.run();
+    ASSERT_EQ(m.state(), RunState::kDone) << m.fault_message();
+    ASSERT_TRUE(m.last_encoded_state().has_value());
+    const auto& frames = m.last_encoded_state()->frames();
+    ASSERT_EQ(frames.size(), 4u);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      ASSERT_EQ(frames[i].values.size(), 1u);
+      const ser::Value& v = frames[i].values[0];
+      EXPECT_EQ(v.is_real(), i % 2 == 1) << "frame " << i;
+      EXPECT_EQ(v.to_real(), 3.0);
+    }
+  }
+}
+
+TEST(BuiltinSites, InterfaceHeldInAVariableIsHonoured) {
+  // One mh_write call site alternates between two interfaces; its cached
+  // endpoint handle must follow the name.
+  auto prog = compile_opts(R"(
+void main() {
+  string p; int i;
+  i = 0;
+  while (i < 4) {
+    if (i % 2 == 0) { p = "x"; } else { p = "y"; }
+    mh_write("PORT", "i", i);
+    i = i + 1;
+  }
+}
+)",
+                           /*fuse=*/false);
+  feed_from_variable(prog, "PORT", "p");
+  for (DispatchMode mode : all_modes()) {
+    net::Simulator sim;
+    sim.add_machine("vax", net::arch_vax());
+    bus::Bus bus(sim);
+    bus::ModuleInfo src{.name = "a", .machine = "vax"};
+    bus::ModuleInfo dst{.name = "b", .machine = "vax"};
+    for (const char* iface : {"x", "y"}) {
+      src.interfaces.push_back({iface, bus::IfaceRole::kDefine, "i", ""});
+      dst.interfaces.push_back({iface, bus::IfaceRole::kUse, "i", ""});
+    }
+    bus.add_module(src);
+    bus.add_module(dst);
+    bus.add_binding({"a", "x"}, {"b", "x"});
+    bus.add_binding({"a", "y"}, {"b", "y"});
+    bus::Client client(bus, "a");
+    Machine m(prog, net::arch_vax());
+    m.set_dispatch_mode(mode);
+    m.attach_client(&client);
+    (void)m.run();
+    ASSERT_EQ(m.state(), RunState::kDone) << m.fault_message();
+    sim.run();
+    for (const auto& [iface, first] :
+         {std::pair{"x", std::int64_t{0}}, std::pair{"y", std::int64_t{1}}}) {
+      for (std::int64_t k = first; k < 4; k += 2) {
+        auto msg = bus.receive("b", iface);
+        ASSERT_TRUE(msg.has_value()) << iface << " " << k;
+        EXPECT_EQ(msg->values.at(0).as_int(), k) << iface;
+      }
+      EXPECT_FALSE(bus.has_message("b", iface));
+    }
+  }
+}
+
+TEST(BuiltinSites, CounterAppInstructionCountIsExact) {
+  // 500 back-to-back requests: 112 instructions per request plus 33 of
+  // setup, in both dispatch modes (the count every dispatch change since
+  // superinstructions has had to keep).
+  DefaultModeGuard guard;
+  for (DispatchMode mode : all_modes()) {
+    set_default_dispatch_mode(mode);
+    app::Runtime rt(3);
+    rt.add_machine("vax", net::arch_vax());
+    cfg::ConfigFile config =
+        cfg::parse_config(app::samples::counter_config_text());
+    rt.load_application(config, "counter", [](const cfg::ModuleSpec& spec) {
+      if (spec.name != "client") return app::samples::counter_server_source();
+      return std::string(R"(
+void main() {
+  int i; int reply;
+  i = 1;
+  while (i <= 500) {
+    mh_write("svc", "i", 2);
+    mh_read("svc", "i", &reply);
+    i = i + 1;
+  }
+  print("client-done");
+}
+)");
+    });
+    rt.run_until_idle(50'000'000);
+    ASSERT_TRUE(rt.module_finished("client"));
+    EXPECT_EQ(rt.machine_of("client")->instructions_executed() +
+                  rt.machine_of("server")->instructions_executed(),
+              56033u);
+  }
+}
+
+// --- the 215-seed chaos spot-check ------------------------------------------
 
 // Golden (fault-free) chaos runs drive whole applications — runtime,
 // virtual clock, bus, reconfiguration — off instruction counts. If the

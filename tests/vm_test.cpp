@@ -542,6 +542,51 @@ void main() { deep(3); }
   EXPECT_THROW(clone.restore_raw_frame_image(image), VmError);
 }
 
+TEST(Vm, RawFrameImageWithRepeatedOrDecreasingFrameIdsIsRejected) {
+  // A &local names its frame by id, and frame ids must strictly increase
+  // up the stack for the lookup to find the right activation record. An
+  // image breaking that is corrupt, and rejecting it leaves the machine
+  // as it was.
+  auto prog = std::make_shared<CompiledProgram>(compile_source(R"(
+void deep(int n) { if (n > 0) { deep(n - 1); } sleep(1); print(n); }
+void main() { deep(3); }
+)"));
+  Machine m(*prog, net::arch_vax());
+  while (m.state() != RunState::kSleeping) (void)m.step(1);
+  const std::vector<std::uint8_t> image = m.raw_frame_image();
+  // Layout (VAX: little-endian, no padding): magic, 0 globals, 5 frames,
+  // then main {fn, pc, id, 0 slots, 0 operands} and deep(3) {fn, pc, id..}.
+  constexpr std::size_t kMainId = 4 + 4 + 4 + 4 + 4;
+  constexpr std::size_t kDeepId = kMainId + 8 + 4 + 4 + 4 + 4;
+  auto id_at = [&](const std::vector<std::uint8_t>& bytes, std::size_t at) {
+    std::uint64_t id = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      id |= std::uint64_t{bytes.at(at + i)} << (8 * i);
+    }
+    return id;
+  };
+  ASSERT_EQ(id_at(image, kMainId), 1u);
+  ASSERT_EQ(id_at(image, kDeepId), 2u);
+
+  for (std::uint8_t patched_id : {1, 0}) {  // repeated, then decreasing
+    std::vector<std::uint8_t> bad = image;
+    bad[kDeepId] = patched_id;
+    Machine clone(*prog, net::arch_vax());
+    try {
+      clone.restore_raw_frame_image(bad);
+      ADD_FAILURE() << "image with frame id " << int{patched_id}
+                    << " after id 1 was accepted";
+    } catch (const VmError& e) {
+      EXPECT_NE(std::string(e.what()).find("frame image corrupt"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(clone.stack_depth(), 1u);
+    clone.restore_raw_frame_image(image);
+    EXPECT_EQ(clone.stack_depth(), 5u);
+  }
+}
+
 TEST(Vm, CheckpointRollbackRestoresEverything) {
   auto prog = std::make_shared<CompiledProgram>(compile_source(R"(
 int g = 0;
