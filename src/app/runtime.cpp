@@ -11,7 +11,10 @@ namespace surgeon::app {
 using support::BusError;
 
 Runtime::Runtime(std::uint64_t seed) : sim_(seed), bus_(sim_), seed_(seed) {
-  bus_.set_wake_callback([this](const std::string& module) { wake(module); });
+  bus_.set_wake_callback(
+      [this](const std::string& module, bus::WakeSlot& slot) {
+        wake(module, slot);
+      });
   // The registry rides along from the start (disabled, so a no-op) so that
   // endpoint and process handles resolve exactly once, at registration.
   metrics_.set_clock([this] { return sim_.now(); });
@@ -45,13 +48,18 @@ void Runtime::publish_vm_metrics(ProcessRec& rec, std::uint64_t instructions) {
       static_cast<std::int64_t>(m.encoded_state_bytes_total()));
 }
 
-void Runtime::wake(const std::string& instance) {
-  auto it = processes_.find(instance);
+void Runtime::wake(const std::string& instance, bus::WakeSlot& slot) {
+  // The slot caches the instance's process record (map nodes are stable)
+  // until processes_ gains or loses an entry.
+  if (slot.generation != process_generation_) {
+    auto it = processes_.find(instance);
+    slot.target = it == processes_.end() ? nullptr : &it->second;
+    slot.generation = process_generation_;
+  }
+  auto* rec = static_cast<ProcessRec*>(slot.target);
   // A sleeping module is not disturbed by message arrival; only its timer
   // wakes it (sleep() already completed inside the VM).
-  if (it != processes_.end() && !it->second.sleeping) {
-    it->second.waiting = false;
-  }
+  if (rec != nullptr && !rec->sleeping) rec->waiting = false;
 }
 
 void Runtime::install_module(const std::string& instance, ModuleImage image,
@@ -98,15 +106,16 @@ void Runtime::start_module(const std::string& instance) {
       &metrics_.gauge("surgeon_vm_encoded_state_bytes", labels);
   if (profiler_ != nullptr) attach_tap(instance, rec);
   processes_[instance] = std::move(rec);
+  ++process_generation_;
 }
 
 void Runtime::stop_module(const std::string& instance) {
-  processes_.erase(instance);
+  if (processes_.erase(instance) != 0) ++process_generation_;
   crashed_.erase(instance);
 }
 
 void Runtime::remove_module(const std::string& instance) {
-  processes_.erase(instance);
+  if (processes_.erase(instance) != 0) ++process_generation_;
   crashed_.erase(instance);
   images_.erase(instance);
   if (bus_.has_module(instance)) bus_.remove_module(instance);
@@ -173,7 +182,7 @@ void Runtime::restart_module(const std::string& instance) {
   if (!images_.contains(instance)) {
     throw BusError("restart_module: unknown instance " + instance);
   }
-  processes_.erase(instance);
+  if (processes_.erase(instance) != 0) ++process_generation_;
   crashed_.erase(instance);
   start_module(instance);
 }

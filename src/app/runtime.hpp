@@ -271,7 +271,7 @@ class Runtime {
     std::unique_ptr<SampleTap> tap;
   };
 
-  void wake(const std::string& instance);
+  void wake(const std::string& instance, bus::WakeSlot& slot);
   void heartbeat_tick(std::uint64_t epoch);
   void profile_tick(std::uint64_t epoch);
   void attach_tap(const std::string& instance, ProcessRec& rec);
@@ -284,6 +284,9 @@ class Runtime {
   bus::Bus bus_;
   std::map<std::string, ModuleImage> images_;
   std::map<std::string, ProcessRec> processes_;
+  /// Bumped whenever processes_ gains or loses an entry: stale WakeSlot
+  /// caches re-resolve. Starts above the slots' zero.
+  std::uint64_t process_generation_ = 1;
   std::set<std::string> crashed_;
   std::set<std::string> dead_machines_;
   std::map<std::string, int> name_counters_;

@@ -122,13 +122,21 @@ EndpointRef Bus::resolve_endpoint(const std::string& module,
   return ref_of(resolve_slot(module, iface));
 }
 
-BindingEnd Bus::endpoint_name(EndpointRef ref) const {
+const Bus::Endpoint& Bus::named_endpoint(EndpointRef ref) const {
   const EndpointId slot = endpoint_slot(ref);
   if (slot >= slab_.size() || endpoint_generation(ref) == 0) {
     throw BusError("invalid endpoint handle");
   }
-  const Endpoint& ep = slab_[slot];
+  return slab_[slot];
+}
+
+BindingEnd Bus::endpoint_name(EndpointRef ref) const {
+  const Endpoint& ep = named_endpoint(ref);
   return BindingEnd{ep.module, ep.spec.name};
+}
+
+const std::string& Bus::source_module(const Message& msg) const {
+  return named_endpoint(msg.src).module;
 }
 
 // --- adjacency compilation ----------------------------------------------------
@@ -455,7 +463,7 @@ void Bus::apply_edit(const BindEdit& edit) {
       }
       note_depth(from);
       note_depth(to);
-      if (moved) wake(edit.b.module);
+      if (moved) wake(*to.owner);
       break;
     }
     case BindEdit::Op::kRemoveQueue: {
@@ -803,7 +811,7 @@ void Bus::signal_reconfig(const std::string& module) {
     rec_event(trc::EventKind::kSignal, it->second.info.machine, module,
               "reconfigure delivered", req_ctx);
     trace(TraceEvent::Kind::kSignal, module, "reconfigure");
-    wake(module);
+    wake(it->second);
   });
 }
 
@@ -891,7 +899,7 @@ void Bus::deliver_state(const std::string& from_machine,
           state_observer_(to_module, "delivered", bytes);
         }
         it->second.incoming_state = bytes;
-        wake(to_module);
+        wake(it->second);
       });
 }
 
@@ -911,12 +919,6 @@ bool Bus::has_incoming_state(const std::string& module) const {
 }
 
 // --- reliable delivery layer -------------------------------------------------
-
-namespace {
-bool contains_id(const std::vector<std::uint64_t>& ids, std::uint64_t id) {
-  return std::find(ids.begin(), ids.end(), id) != ids.end();
-}
-}  // namespace
 
 FaultDecision Bus::consult_fault(const std::string& src_machine,
                                  const std::string& dst_machine) {
@@ -954,7 +956,7 @@ void Bus::update_reliable_gauges() {
 
 std::size_t Bus::unacked_total() const noexcept {
   std::size_t n = 0;
-  for (const auto& [key, ts] : tx_streams_) n += ts.unacked.size();
+  for (const auto& [key, ts] : tx_streams_) n += ts.unacked;
   return n;
 }
 
@@ -1008,7 +1010,7 @@ void Bus::deliver_into(Endpoint& ep, Message msg) {
     note_depth(ep);
   }
   if (trace_) trace(TraceEvent::Kind::kDeliver, ep.module, ep.spec.name);
-  wake(ep.module);
+  wake(*ep.owner);
 }
 
 void Bus::reliable_send(EndpointRef ref, Endpoint& ep, Message msg) {
@@ -1020,7 +1022,9 @@ void Bus::reliable_send(EndpointRef ref, Endpoint& ep, Message msg) {
   TxEntry entry;
   entry.msg = std::move(msg);
   entry.timeout_us = delivery_.retransmit_timeout_us;
-  ts.unacked.emplace(seq, std::move(entry));
+  entry.live = true;
+  ts.window.push_back(std::move(entry));
+  ++ts.unacked;
   transmit_entry(ep.stream_id, seq, /*retransmit=*/false);
   arm_retransmit(ep.stream_id, seq, delivery_.retransmit_timeout_us);
   update_reliable_gauges();
@@ -1033,7 +1037,7 @@ bool Bus::entry_fully_acked(const TxStream& ts, const TxEntry& entry) {
   if (owner_ep == nullptr) return true;
   for (const PeerLink& pl : owner_ep->peers) {
     const Endpoint& peer = slab_[endpoint_slot(pl.ref)];
-    if (!contains_id(entry.acked_by, peer.owner->uid)) return false;
+    if (!entry.acked_by.contains(peer.owner->uid)) return false;
   }
   // No unacked peer left -- either everyone acked or the endpoint became
   // unbound, in which case there is nobody left to deliver to.
@@ -1044,12 +1048,12 @@ void Bus::transmit_entry(StreamKey stream, std::uint64_t seq, bool retransmit) {
   auto sit = tx_streams_.find(stream);
   if (sit == tx_streams_.end()) return;
   TxStream& ts = sit->second;
-  auto eit = ts.unacked.find(seq);
-  if (eit == ts.unacked.end()) return;
-  TxEntry& entry = eit->second;
+  TxEntry* found = ts.find(seq);
+  if (found == nullptr) return;
+  TxEntry& entry = *found;
   Endpoint* owner_ep = deref(ts.owner);
   if (owner_ep == nullptr) {
-    ts.unacked.erase(eit);
+    ts.settle(entry);
     update_reliable_gauges();
     return;
   }
@@ -1074,7 +1078,7 @@ void Bus::transmit_entry(StreamKey stream, std::uint64_t seq, bool retransmit) {
   for (std::size_t i = 0; i < owner_ep->peers.size(); ++i) {
     const PeerLink pl = owner_ep->peers[i];
     const Endpoint& peer = slab_[endpoint_slot(pl.ref)];
-    if (contains_id(entry.acked_by, peer.owner->uid)) continue;
+    if (entry.acked_by.contains(peer.owner->uid)) continue;
     auto latency = sim_->link_latency(pl.same_machine);
     FaultDecision fd = consult_fault(*pl.src_machine, *pl.dst_machine);
     ++rstats_.transmissions;
@@ -1117,11 +1121,11 @@ void Bus::arm_retransmit(StreamKey stream, std::uint64_t seq,
     auto sit = tx_streams_.find(stream);
     if (sit == tx_streams_.end()) return;  // stream retired; lazy cancel
     TxStream& ts = sit->second;
-    auto eit = ts.unacked.find(seq);
-    if (eit == ts.unacked.end()) return;  // acked meanwhile; lazy cancel
-    TxEntry& entry = eit->second;
+    TxEntry* found = ts.find(seq);
+    if (found == nullptr) return;  // acked meanwhile; lazy cancel
+    TxEntry& entry = *found;
     if (entry_fully_acked(ts, entry)) {
-      ts.unacked.erase(eit);
+      ts.settle(entry);
       update_reliable_gauges();
       return;
     }
@@ -1139,7 +1143,7 @@ void Bus::arm_retransmit(StreamKey stream, std::uint64_t seq,
                 entry.msg.trace_ctx);
       trace(TraceEvent::Kind::kDrop, owner_module,
             owner_iface + " seq " + std::to_string(seq) + " (gave up)");
-      ts.unacked.erase(eit);
+      ts.settle(entry);
       update_reliable_gauges();
       return;
     }
@@ -1243,16 +1247,14 @@ void Bus::on_ack(std::uint64_t acker_uid, StreamKey stream,
   auto sit = tx_streams_.find(stream);
   if (sit == tx_streams_.end()) return;
   TxStream& ts = sit->second;
-  auto eit = ts.unacked.find(seq);
-  if (eit == ts.unacked.end()) return;
+  TxEntry* found = ts.find(seq);
+  if (found == nullptr) return;
   ++rstats_.acks_delivered;
   chaos_metric("surgeon_bus_acks_total", "message");
-  TxEntry& entry = eit->second;
-  if (!contains_id(entry.acked_by, acker_uid)) {
-    entry.acked_by.push_back(acker_uid);
-  }
+  TxEntry& entry = *found;
+  entry.acked_by.insert(acker_uid);
   if (entry_fully_acked(ts, entry)) {
-    ts.unacked.erase(eit);
+    ts.settle(entry);
     update_reliable_gauges();
   }
 }
@@ -1409,7 +1411,7 @@ void Bus::apply_signal(const std::string& module, std::uint64_t id) {
     rec_event(trc::EventKind::kSignal, r.info.machine, module,
               "reconfigure delivered", cause);
     trace(TraceEvent::Kind::kSignal, module, "reconfigure");
-    wake(module);
+    wake(r);
   }
   ack_control(module, id);
 }
@@ -1437,7 +1439,7 @@ void Bus::apply_state(const std::string& module, std::uint64_t id,
           std::to_string(bytes.size()) + " bytes");
     if (state_observer_) state_observer_(module, "delivered", bytes);
     r.incoming_state = bytes;
-    wake(module);
+    wake(r);
   }
   ack_control(module, id);
 }

@@ -22,6 +22,8 @@
 // interact with it only through bus::Client (the mh_* primitives).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -33,6 +35,7 @@
 #include "bus/message.hpp"
 #include "net/sim.hpp"
 #include "obs/metrics.hpp"
+#include "support/ring.hpp"
 #include "trace/recorder.hpp"
 
 namespace surgeon::bus {
@@ -188,6 +191,18 @@ using TopHandler = std::function<std::string(const std::string& format)>;
 /// registers itself, so the query survives monitor replacement.
 using SloHandler = std::function<std::string(const std::string& format)>;
 
+/// Per-module scratch the wake callback keeps in the bus's module record, so
+/// a scheduler resolves the woken module once instead of looking its name
+/// up on every delivery. Zero at registration; the bus never reads it.
+struct WakeSlot {
+  void* target = nullptr;
+  std::uint64_t generation = 0;
+};
+
+/// Invoked whenever a message, signal, or state buffer arrives for a module.
+using WakeCallback =
+    std::function<void(const std::string& module, WakeSlot& slot)>;
+
 class Bus {
  public:
   explicit Bus(net::Simulator& sim) : sim_(&sim) {}
@@ -230,6 +245,16 @@ class Bus {
   /// names are kept for fidelity to the Figure 5 API.)
   [[nodiscard]] std::vector<BindingEnd> bound_peers(
       const BindingEnd& end) const;
+  /// Calls `fn(module)` with the module name of every peer bound to `ref`,
+  /// in adjacency order, without allocating. A stale ref has no peers.
+  template <class Fn>
+  void for_each_peer_module(EndpointRef ref, Fn&& fn) const {
+    const Endpoint* ep = deref(ref);
+    if (ep == nullptr) return;
+    for (const PeerLink& pl : ep->peers) {
+      fn(slab_[endpoint_slot(pl.ref)].module);
+    }
+  }
 
   /// Applies a batch of bind edits atomically (mh_rebind). Either the whole
   /// batch validates and applies, or nothing changes.
@@ -258,6 +283,8 @@ class Bus {
   [[nodiscard]] BindingEnd source_of(const Message& msg) const {
     return endpoint_name(msg.src);
   }
+  /// Module half of source_of, without copying the names.
+  [[nodiscard]] const std::string& source_module(const Message& msg) const;
   /// Slab occupancy, for tests of free-list recycling: total slots ever
   /// allocated. Stays flat across remove→re-add cycles.
   [[nodiscard]] std::size_t endpoint_slab_size() const noexcept {
@@ -383,9 +410,7 @@ class Bus {
 
   /// Invoked whenever a message, signal, or state buffer arrives for a
   /// module: lets the scheduler wake a blocked process.
-  void set_wake_callback(std::function<void(const std::string&)> cb) {
-    wake_ = std::move(cb);
-  }
+  void set_wake_callback(WakeCallback cb) { wake_ = std::move(cb); }
 
   /// Streams every bus event to `sink` (null disables tracing, the
   /// default; tracing costs one callback per event when enabled).
@@ -492,7 +517,7 @@ class Bus {
     InterfaceSpec spec;
     std::string module;         // owner module name (retained after retire)
     ModuleRec* owner = nullptr; // valid while in_use; map nodes are stable
-    std::deque<Message> queue;
+    support::RingQueue<Message> queue;
     /// Stream this endpoint's sends belong to (own ref at creation;
     /// repointed to the predecessor's stream by queue capture).
     StreamKey stream_id = 0;
@@ -519,12 +544,40 @@ class Bus {
     std::uint32_t next_free = kNoSlot;  // free-list link while retired
   };
 
+  /// Module uids that acked one message. A binding fans out to a handful
+  /// of peers, so the first kInline ids live inline and only wider
+  /// fan-outs spill to the heap.
+  class AckSet {
+   public:
+    [[nodiscard]] bool contains(std::uint64_t uid) const noexcept {
+      for (std::uint32_t i = 0; i < n_inline_; ++i) {
+        if (inline_[i] == uid) return true;
+      }
+      return std::find(spill_.begin(), spill_.end(), uid) != spill_.end();
+    }
+    /// Adds `uid` unless it is already present.
+    void insert(std::uint64_t uid) {
+      if (contains(uid)) return;
+      if (n_inline_ < kInline) {
+        inline_[n_inline_++] = uid;
+      } else {
+        spill_.push_back(uid);
+      }
+    }
+
+   private:
+    static constexpr std::uint32_t kInline = 4;
+    std::array<std::uint64_t, kInline> inline_{};
+    std::uint32_t n_inline_ = 0;
+    std::vector<std::uint64_t> spill_;
+  };
   /// One unacked reliable message copy awaiting acknowledgement.
   struct TxEntry {
     Message msg;
-    std::vector<std::uint64_t> acked_by;  // module uids that acked this seq
+    AckSet acked_by;
     int attempts = 0;
     net::SimTime timeout_us = 0;
+    bool live = false;  // false: acked or abandoned (a hole in the window)
   };
   /// Sender side of one stream. Keyed by the original endpoint's packed
   /// ref; `owner` tracks which live endpoint currently continues the
@@ -532,7 +585,29 @@ class Bus {
   struct TxStream {
     EndpointRef owner = kNullEndpointRef;
     std::uint64_t next_seq = 0;
-    std::map<std::uint64_t, TxEntry> unacked;
+    /// Sequence-indexed window of sent messages: window[i] is seq
+    /// base_seq + i, so base_seq + window.size() == next_seq. Settled
+    /// entries stay as holes until every older one settles too.
+    std::uint64_t base_seq = 0;
+    support::RingQueue<TxEntry> window;
+    std::size_t unacked = 0;  // live entries in the window
+
+    /// The unacked entry for `seq`, or null once it settled.
+    [[nodiscard]] TxEntry* find(std::uint64_t seq) noexcept {
+      if (seq < base_seq || seq - base_seq >= window.size()) return nullptr;
+      TxEntry& e = window[seq - base_seq];
+      return e.live ? &e : nullptr;
+    }
+    /// Settles a live entry (acked or given up) and trims settled entries
+    /// off the front of the window.
+    void settle(TxEntry& entry) {
+      entry = TxEntry{};
+      --unacked;
+      while (!window.empty() && !window.front().live) {
+        window.pop_front();
+        ++base_seq;
+      }
+    }
   };
 
   /// One pending reliable control transmission (signal or state buffer).
@@ -568,11 +643,11 @@ class Bus {
     trc::TraceContext request_ctx;
     /// Sliding window of recently applied control ids (redelivery dedup).
     std::deque<std::uint64_t> applied_control;
+    WakeSlot wake_slot;  // the wake callback's per-module cache
   };
 
   /// In-flight message copies. Pooled so the scheduled delivery closure
-  /// captures only {this, slot} — small enough for std::function's inline
-  /// buffer — making a hop free of heap allocation.
+  /// captures only {this, slot}, which the simulator stores inline.
   struct InFlight {
     Message msg;
     EndpointRef dst = kNullEndpointRef;
@@ -592,6 +667,9 @@ class Bus {
   [[nodiscard]] const Endpoint* deref(EndpointRef ref) const noexcept {
     return const_cast<Bus*>(this)->deref(ref);
   }
+  /// The slot a ref names, live or retired (endpoint_name's lookup).
+  /// Throws BusError for a never-used slot.
+  [[nodiscard]] const Endpoint& named_endpoint(EndpointRef ref) const;
   [[nodiscard]] EndpointRef ref_of(EndpointId slot) const noexcept {
     return make_endpoint_ref(slot, slab_[slot].generation);
   }
@@ -667,8 +745,8 @@ class Bus {
       ep.depth_gauge->set(static_cast<std::int64_t>(ep.queue.size()));
     }
   }
-  void wake(const std::string& module) {
-    if (wake_) wake_(module);
+  void wake(ModuleRec& r) {
+    if (wake_) wake_(r.info.name, r.wake_slot);
   }
   void trace(TraceEvent::Kind kind, const std::string& module,
              std::string detail) {
@@ -688,7 +766,7 @@ class Bus {
   std::uint32_t free_head_ = kNoSlot;
   std::vector<InFlight> inflight_;
   std::uint32_t inflight_free_ = kNoSlot;
-  std::function<void(const std::string&)> wake_;
+  WakeCallback wake_;
   TraceSink trace_;
   BusStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -1,7 +1,5 @@
 #include "net/sim.hpp"
 
-#include <algorithm>
-
 #include "support/diag.hpp"
 
 namespace surgeon::net {
@@ -41,22 +39,21 @@ SimTime Simulator::message_latency(const std::string& a, const std::string& b) {
   return link_latency(a == b);
 }
 
-void Simulator::schedule_at(SimTime t, std::function<void()> fn) {
-  if (t < now_us_) t = now_us_;
-  events_.push_back(Event{t, next_seq_++, std::move(fn)});
-  std::push_heap(events_.begin(), events_.end(), Later{});
-}
-
 bool Simulator::step() {
-  if (events_.empty()) return false;
-  std::pop_heap(events_.begin(), events_.end(), Later{});
-  Event ev = std::move(events_.back());
-  events_.pop_back();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  // Move the closure out and free its record before running it: the event
+  // may schedule more events, which can reuse the record or grow the pool
+  // (moving every record).
+  detail::EventClosure fn = std::move(pool_[key.slot]);
+  free_.push_back(key.slot);
   // Monotone clock: advance_time (instruction cost) may have pushed `now`
   // past already-scheduled events; those fire late -- the compute consumed
   // their interval -- rather than rewinding virtual time.
-  if (ev.time > now_us_) now_us_ = ev.time;
-  ev.fn();
+  if (key.time > now_us_) now_us_ = key.time;
+  fn();
   return true;
 }
 

@@ -6,10 +6,14 @@
 // and are bit-for-bit reproducible.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <new>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/arch.hpp"
@@ -78,6 +82,100 @@ struct LatencyModel {
   SimTime remote_jitter_us = 0;
 };
 
+namespace detail {
+
+/// A move-only `void()` closure for one pending simulator event. Closures of
+/// up to kInlineBytes live in the record itself; larger ones (or ones whose
+/// move may throw) are boxed on the heap and the record holds the pointer.
+/// Three function pointers in a per-type table stand in for the virtual
+/// calls of std::function; the record is one 64-byte cache line.
+class EventClosure {
+ public:
+  static constexpr std::size_t kInlineBytes = 48;
+
+  template <class Fn>
+  static constexpr bool fits_inline() noexcept {
+    return sizeof(Fn) <= kInlineBytes &&
+           alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
+
+  EventClosure() noexcept = default;
+  EventClosure(EventClosure&& other) noexcept { take(other); }
+  EventClosure& operator=(EventClosure&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  EventClosure(const EventClosure&) = delete;
+  EventClosure& operator=(const EventClosure&) = delete;
+  ~EventClosure() { reset(); }
+
+  /// Stores `f` (the record must be empty).
+  template <class F>
+  void emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &kInline<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &kBoxed<Fn>;
+    }
+  }
+  void operator()() { ops_->invoke(buf_); }
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* self);
+    void (*relocate)(void* from, void* to) noexcept;
+    void (*destroy)(void* self) noexcept;
+  };
+  template <class Fn>
+  static Fn& inline_fn(void* p) noexcept {
+    return *std::launder(static_cast<Fn*>(p));
+  }
+  template <class Fn>
+  static Fn*& boxed_fn(void* p) noexcept {
+    return *std::launder(static_cast<Fn**>(p));
+  }
+  template <class Fn>
+  static constexpr Ops kInline = {
+      [](void* p) { inline_fn<Fn>(p)(); },
+      [](void* from, void* to) noexcept {
+        ::new (to) Fn(std::move(inline_fn<Fn>(from)));
+        inline_fn<Fn>(from).~Fn();
+      },
+      [](void* p) noexcept { inline_fn<Fn>(p).~Fn(); }};
+  template <class Fn>
+  static constexpr Ops kBoxed = {
+      [](void* p) { (*boxed_fn<Fn>(p))(); },
+      [](void* from, void* to) noexcept {
+        ::new (to) Fn*(boxed_fn<Fn>(from));
+      },
+      [](void* p) noexcept { delete boxed_fn<Fn>(p); }};
+
+  void take(EventClosure& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(other.buf_, buf_);
+    ops_ = other.ops_;
+    other.ops_ = nullptr;
+  }
+
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
+
+}  // namespace detail
+
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
@@ -123,10 +221,33 @@ class Simulator {
   /// time has passed will run at the advanced clock.
   void advance_time(SimTime dt) noexcept { now_us_ += dt; }
 
-  /// Schedules `fn` at absolute virtual time `t` (clamped to now).
-  void schedule_at(SimTime t, std::function<void()> fn);
-  void schedule_after(SimTime dt, std::function<void()> fn) {
-    schedule_at(now_us_ + dt, std::move(fn));
+  /// Schedules `fn` (any `void()` callable) at absolute virtual time `t`
+  /// (clamped to now). Closures of up to kInlineClosureBytes are stored in
+  /// a pooled event record without touching the heap.
+  template <class F>
+  void schedule_at(SimTime t, F&& fn) {
+    if (t < now_us_) t = now_us_;
+    const std::uint32_t slot = acquire_record();
+    try {
+      pool_[slot].emplace(std::forward<F>(fn));
+    } catch (...) {
+      free_.push_back(slot);
+      throw;
+    }
+    heap_.push_back(Key{t, next_seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  template <class F>
+  void schedule_after(SimTime dt, F&& fn) {
+    schedule_at(now_us_ + dt, std::forward<F>(fn));
+  }
+
+  static constexpr std::size_t kInlineClosureBytes =
+      detail::EventClosure::kInlineBytes;
+  /// True when a closure of type F is stored inline (never boxed).
+  template <class F>
+  static constexpr bool stores_inline() noexcept {
+    return detail::EventClosure::fits_inline<std::decay_t<F>>();
   }
 
   /// Runs the earliest pending event. Returns false when none remain.
@@ -134,28 +255,42 @@ class Simulator {
   /// Runs events until the queue is empty or `max_events` is hit.
   /// Returns the number of events executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
-  [[nodiscard]] bool idle() const noexcept { return events_.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return events_.size();
+    return heap_.size();
   }
 
  private:
-  struct Event {
+  /// Heap entry of one pending event; its closure sits in pool_[slot].
+  struct Key {
     SimTime time;
     std::uint64_t seq;  // tie-break so equal-time events run FIFO
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
 
+  [[nodiscard]] std::uint32_t acquire_record() {
+    if (!free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    pool_.emplace_back();
+    return static_cast<std::uint32_t>(pool_.size() - 1);
+  }
+
   SimTime now_us_ = 0;
   std::uint64_t next_seq_ = 0;
-  /// Binary heap under Later (std::push_heap/pop_heap), so step() can move
-  /// the earliest event out instead of copying it from a const top().
-  std::vector<Event> events_;
+  /// Binary heap of small keys under Later (std::push_heap/pop_heap).
+  std::vector<Key> heap_;
+  /// Event records, sized by the peak number of pending events; free_
+  /// lists the records no pending event holds.
+  std::vector<detail::EventClosure> pool_;
+  std::vector<std::uint32_t> free_;
   std::map<std::string, Machine> machines_;
   std::map<std::string, DurableStore> stores_;
   LatencyModel latency_;

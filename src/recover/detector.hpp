@@ -105,6 +105,12 @@ class MachineDetector {
   /// Modules attributed to `machine`, sorted (what a rebuild must cover).
   [[nodiscard]] std::vector<std::string> modules_on(
       const std::string& machine) const;
+  /// Calls `fn(module)` for every tracked module, in name order, without
+  /// copying names. `fn` must not change what the detector tracks.
+  template <class Fn>
+  void for_each_module(Fn&& fn) const {
+    for (const auto& [module, machine] : module_machine_) fn(module);
+  }
   [[nodiscard]] std::optional<net::SimTime> last_beat(
       const std::string& machine) const;
   [[nodiscard]] std::size_t tracked_machines() const noexcept {

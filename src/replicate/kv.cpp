@@ -98,7 +98,8 @@ KvRouter::KvRouter(bus::Bus& bus, std::string machine, std::size_t shards,
       shards_(shards),
       tick_us_(tick_us),
       retry_us_(retry_us),
-      groups_(shards) {
+      groups_(shards),
+      group_refs_(shards, bus::kNullEndpointRef) {
   bus::ModuleInfo info;
   info.name = module_;
   info.machine = std::move(machine);
@@ -127,6 +128,21 @@ std::vector<std::string> KvRouter::members(std::size_t group) const {
   return out;
 }
 
+bus::EndpointRef KvRouter::group_ref(std::size_t g) {
+  bus::EndpointRef& ref = group_refs_[g];
+  if (!bus_->endpoint_current(ref)) {
+    ref = bus_->resolve_endpoint(module_, group_iface(g));
+  }
+  return ref;
+}
+
+std::int64_t* KvRouter::Group::reply_of(const std::string& member) {
+  for (Reply& r : replies) {
+    if (r.member == member) return &r.value;
+  }
+  return nullptr;
+}
+
 void KvRouter::nudge(std::size_t group) {
   // seq 0 never matches a pending operation, so every reply is discarded.
   client_.write(group_iface(group),
@@ -138,7 +154,7 @@ void KvRouter::nudge(std::size_t group) {
 std::size_t KvRouter::pending_ops() const noexcept {
   std::size_t n = 0;
   for (const Group& g : groups_) {
-    n += g.waiting.size() + (g.inflight.has_value() ? 1 : 0);
+    n += g.waiting.size() + (g.busy ? 1 : 0);
   }
   return n;
 }
@@ -152,68 +168,83 @@ void KvRouter::schedule_tick() {
   });
 }
 
-void KvRouter::fan_out(std::size_t g, PendingOp& op) {
-  op.last_fanout_at = bus_->simulator().now();
-  client_.write(group_iface(g),
-                {ser::Value{op.op}, ser::Value{op.seq}, ser::Value{op.key},
-                 ser::Value{op.value}});
+void KvRouter::fan_out(std::size_t g) {
+  Group& group = groups_[g];
+  const OpRequest& op = group.inflight;
+  group.last_fanout_at = bus_->simulator().now();
+  client_.write(group_ref(g), {ser::Value{op.op}, ser::Value{op.seq},
+                               ser::Value{op.key}, ser::Value{op.value}});
 }
 
 void KvRouter::absorb_replies(std::size_t g) {
-  while (auto msg = client_.try_read(group_iface(g))) {
+  const bus::EndpointRef ref = group_ref(g);
+  while (auto msg = client_.try_read(ref)) {
     const auto& v = msg->values;
     if (v.size() != 4 || !v[1].is_int()) continue;
     const std::int64_t seq = v[1].as_int();
     if (seq == 0) continue;  // nudge echo
     Group& group = groups_[g];
-    if (!group.inflight || group.inflight->seq != seq) {
+    if (!group.busy || group.inflight.seq != seq) {
       ++stats_.late_replies;
       continue;
     }
-    group.inflight->replies[bus_->source_of(*msg).module] = v[3].as_int();
+    const std::string& member = bus_->source_module(*msg);
+    const std::int64_t value = v[3].as_int();
+    if (std::int64_t* seen = group.reply_of(member)) {
+      *seen = value;
+    } else {
+      group.replies.push_back(Reply{member, value});
+    }
   }
 }
 
 void KvRouter::progress(std::size_t g) {
   Group& group = groups_[g];
-  if (!group.inflight && !group.waiting.empty()) {
-    group.inflight = std::move(group.waiting.front());
+  if (!group.busy && !group.waiting.empty()) {
+    group.inflight = group.waiting.front();
     group.waiting.pop_front();
-    fan_out(g, *group.inflight);
+    group.busy = true;
+    fan_out(g);
     return;
   }
-  if (!group.inflight) return;
-  PendingOp& op = *group.inflight;
+  if (!group.busy) return;
+  const OpRequest& op = group.inflight;
   // Completion is judged against the CURRENT membership: a rebuild that
   // swapped members mid-operation means the heir must reply too (the retry
   // below re-fans the operation so it can).
-  const std::vector<std::string> now_members = members(g);
-  bool complete = !now_members.empty();
-  for (const auto& m : now_members) {
-    if (!op.replies.contains(m)) {
-      complete = false;
-      break;
-    }
-  }
+  const bus::EndpointRef ref = group_ref(g);
+  std::size_t bound = 0;
+  bool complete = true;
+  bus_->for_each_peer_module(ref, [&](const std::string& m) {
+    ++bound;
+    if (group.reply_of(m) == nullptr) complete = false;
+  });
+  complete = complete && bound != 0;
   const net::SimTime now = bus_->simulator().now();
   if (!complete) {
-    if (now - op.last_fanout_at >= retry_us_) {
+    if (now - group.last_fanout_at >= retry_us_) {
       ++stats_.refans;
-      fan_out(g, op);
+      fan_out(g);
     }
     return;
   }
   std::int64_t result = op.value;
   if (op.op != 1) {
     // GET agreement: members that disagree mean some replica serves a
-    // stale value -- invariant 7's "committed write resurfaces" half.
-    result = op.replies.at(now_members.front());
+    // stale value -- invariant 7's "committed write resurfaces" half. The
+    // acked value is the largest reply, whatever order members come in.
+    bool first = true;
     bool agree = true;
-    for (const auto& m : now_members) {
-      const std::int64_t v = op.replies.at(m);
-      if (v != result) agree = false;
-      result = std::max(result, v);
-    }
+    bus_->for_each_peer_module(ref, [&](const std::string& m) {
+      const std::int64_t v = *group.reply_of(m);
+      if (first) {
+        result = v;
+        first = false;
+      } else if (v != result) {
+        agree = false;
+        result = std::max(result, v);
+      }
+    });
     if (!agree) ++stats_.stale_gets;
     ++stats_.acked_gets;
   } else {
@@ -222,7 +253,8 @@ void KvRouter::progress(std::size_t g) {
   latencies_.push_back(KvLatencySample{now, now - op.accepted_at});
   client_.write("cli", {ser::Value{op.op}, ser::Value{op.seq},
                         ser::Value{op.key}, ser::Value{result}});
-  group.inflight.reset();
+  group.busy = false;
+  group.replies.clear();
   // Let the next waiting operation start on this same tick.
   progress(g);
 }
@@ -231,7 +263,7 @@ void KvRouter::tick() {
   while (auto msg = client_.try_read("cli")) {
     const auto& v = msg->values;
     if (v.size() != 4) continue;
-    PendingOp op;
+    OpRequest op;
     op.op = v[0].as_int();
     op.seq = v[1].as_int();
     op.key = v[2].as_int();
@@ -239,7 +271,7 @@ void KvRouter::tick() {
     op.accepted_at = bus_->simulator().now();
     const std::size_t g =
         static_cast<std::size_t>(op.key) % (shards_ == 0 ? 1 : shards_);
-    groups_[g].waiting.push_back(std::move(op));
+    groups_[g].waiting.push_back(op);
   }
   for (std::size_t g = 0; g < shards_; ++g) {
     absorb_replies(g);
@@ -323,9 +355,7 @@ void KvClient::tick() {
     ++stats_.acked;
     if (op.op == 1) {
       acked_[op.key] = op.value;
-      acked_log_.push_back("acked put seq=" + std::to_string(inflight_seq_) +
-                           " key=" + std::to_string(op.key) + " value=" +
-                           std::to_string(op.value));
+      acked_log_.push_back(Acked{inflight_seq_, 1, op.key, op.value});
     } else {
       // Session guarantee: the client is FIFO with one outstanding
       // operation, so this GET follows every acknowledged PUT. Any other
@@ -341,9 +371,7 @@ void KvClient::tick() {
       if (op.op == 3) {
         readback_[op.key] = value;
       } else {
-        acked_log_.push_back("acked get seq=" + std::to_string(inflight_seq_) +
-                             " key=" + std::to_string(op.key) + " value=" +
-                             std::to_string(value));
+        acked_log_.push_back(Acked{inflight_seq_, 2, op.key, value});
       }
     }
     inflight_seq_ = 0;
@@ -352,7 +380,14 @@ void KvClient::tick() {
 }
 
 std::vector<std::string> KvClient::report() const {
-  std::vector<std::string> lines = acked_log_;
+  std::vector<std::string> lines;
+  lines.reserve(acked_log_.size() + readback_.size() + violations_.size() + 1);
+  for (const Acked& a : acked_log_) {
+    lines.push_back(std::string(a.op == 1 ? "acked put" : "acked get") +
+                    " seq=" + std::to_string(a.seq) + " key=" +
+                    std::to_string(a.key) + " value=" +
+                    std::to_string(a.value));
+  }
   for (const auto& [key, value] : readback_) {
     lines.push_back("readback key=" + std::to_string(key) + " value=" +
                     std::to_string(value));

@@ -18,11 +18,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,6 +28,7 @@
 #include "app/runtime.hpp"
 #include "bus/client.hpp"
 #include "replicate/placement.hpp"
+#include "support/ring.hpp"
 
 namespace surgeon::replicate {
 
@@ -90,6 +89,9 @@ struct KvLatencySample {
 /// replied to its sequence number -- membership is re-read from the bus on
 /// every check, so a rebuild that swaps members mid-operation simply
 /// extends the ack set the operation must collect (fed by the retry tick).
+/// The steady-state tick allocates nothing: group endpoints are resolved
+/// once, checks walk the bus adjacency in place, and per-group op records
+/// and reply lists are reused.
 class KvRouter {
  public:
   KvRouter(bus::Bus& bus, std::string machine, std::size_t shards,
@@ -119,23 +121,32 @@ class KvRouter {
   [[nodiscard]] std::size_t pending_ops() const noexcept;
 
  private:
-  struct PendingOp {
+  struct OpRequest {
     std::int64_t op = 0;
     std::int64_t seq = 0;
     std::int64_t key = 0;
     std::int64_t value = 0;
     net::SimTime accepted_at = 0;
-    net::SimTime last_fanout_at = 0;
-    std::map<std::string, std::int64_t> replies;  // member -> replied value
+  };
+  struct Reply {
+    std::string member;
+    std::int64_t value = 0;
   };
   struct Group {
-    std::optional<PendingOp> inflight;
-    std::deque<PendingOp> waiting;
+    bool busy = false;  // `inflight` holds the outstanding operation
+    OpRequest inflight;
+    net::SimTime last_fanout_at = 0;
+    std::vector<Reply> replies;  // one per replying member, last value wins
+    support::RingQueue<OpRequest> waiting;
+
+    [[nodiscard]] std::int64_t* reply_of(const std::string& member);
   };
 
   void schedule_tick();
   void tick();
-  void fan_out(std::size_t g, PendingOp& op);
+  /// The group's interface handle, re-resolved only when it went stale.
+  [[nodiscard]] bus::EndpointRef group_ref(std::size_t g);
+  void fan_out(std::size_t g);
   void absorb_replies(std::size_t g);
   void progress(std::size_t g);
 
@@ -146,6 +157,7 @@ class KvRouter {
   net::SimTime tick_us_;
   net::SimTime retry_us_;
   std::vector<Group> groups_;
+  std::vector<bus::EndpointRef> group_refs_;
   KvRouterStats stats_;
   std::vector<KvLatencySample> latencies_;
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
@@ -202,6 +214,13 @@ class KvClient {
     std::int64_t key = 0;
     std::int64_t value = 0;
   };
+  /// One acknowledged PUT or mid-run GET, formatted only by report().
+  struct Acked {
+    std::int64_t seq = 0;
+    std::int64_t op = 0;  // 1 PUT, 2 GET
+    std::int64_t key = 0;
+    std::int64_t value = 0;
+  };
   void schedule_tick();
   void tick();
   void send_next();
@@ -217,7 +236,7 @@ class KvClient {
   std::map<std::int64_t, std::int64_t> acked_;
   std::map<std::int64_t, std::int64_t> readback_;
   std::vector<std::string> violations_;
-  std::vector<std::string> acked_log_;  // "seq op key value", seq order
+  std::vector<Acked> acked_log_;  // seq order
   KvClientStats stats_;
   bool done_ = false;
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);

@@ -69,11 +69,11 @@ void GroupManager::prune_departed() {
   // Modules that left the bus (replaced, rebuilt away, removed) stop
   // beating for a reason; drop them before their silence slanders a
   // perfectly healthy machine.
-  for (const std::string& machine : detector_.machine_names()) {
-    for (const std::string& module : detector_.modules_on(machine)) {
-      if (!rt_->bus().has_module(module)) detector_.forget_module(module);
-    }
-  }
+  std::vector<std::string> departed;
+  detector_.for_each_module([&](const std::string& module) {
+    if (!rt_->bus().has_module(module)) departed.push_back(module);
+  });
+  for (const std::string& module : departed) detector_.forget_module(module);
 }
 
 void GroupManager::sweep(std::uint64_t epoch) {

@@ -201,7 +201,8 @@ TEST_F(BusTest, StateMailboxes) {
 TEST_F(BusTest, WakeCallbackFires) {
   add_pair();
   std::vector<std::string> woken;
-  bus_.set_wake_callback([&](const std::string& m) { woken.push_back(m); });
+  bus_.set_wake_callback(
+      [&](const std::string& m, WakeSlot&) { woken.push_back(m); });
   bus_.send("a", "out", {ser::Value(std::int64_t{1})});
   bus_.signal_reconfig("a");
   sim_.run();

@@ -189,6 +189,65 @@ TEST_F(ReliableBusTest, ReorderedCopiesAreBufferedAndFlushedInOrder) {
   EXPECT_EQ(bus_.ooo_total(), 0u);  // flushed once the gap filled
 }
 
+TEST_F(ReliableBusTest, WideFanOutWaitsForEveryPeersAck) {
+  // Six peers: more acks than a message's inline ack set holds.
+  bus_.add_module(make_module("a", "vax"));
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "b" + std::to_string(i);
+    bus_.add_module(make_module(name, "sparc"));
+    bus_.add_binding({"a", "out"}, {name, "in"});
+  }
+  int copies = 0;
+  bus_.set_fault_hook([&copies](const std::string& src, const std::string&) {
+    // Drop the sixth wire copy, the one toward the last peer.
+    if (src == "vax" && ++copies == 6) return bus::FaultDecision{.drop = true};
+    return bus::FaultDecision{};
+  });
+  bus_.send("a", "out", {ser::Value(std::int64_t{4})});
+  sim_.run();
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "b" + std::to_string(i);
+    auto msg = bus_.receive(name, "in");
+    ASSERT_TRUE(msg.has_value()) << name;
+    EXPECT_FALSE(bus_.receive(name, "in").has_value()) << name;
+  }
+  const bus::ReliableStats& rs = bus_.reliable_stats();
+  // One retransmission, to the one peer that had not acked.
+  EXPECT_EQ(rs.retransmits, 1u);
+  EXPECT_EQ(rs.transmissions, 7u);
+  EXPECT_EQ(rs.acks_delivered, 6u);
+  EXPECT_EQ(bus_.unacked_total(), 0u);
+}
+
+TEST_F(ReliableBusTest, AcksOutOfOrderSettleTheWindow) {
+  add_pair();
+  bool first_ack = true;
+  bus_.set_fault_hook([&first_ack](const std::string& src, const std::string&) {
+    if (src == "sparc" && first_ack) {
+      first_ack = false;  // seq 0's ack lands after seq 1's and 2's
+      return bus::FaultDecision{.extra_delay_us = 3'000};
+    }
+    return bus::FaultDecision{};
+  });
+  for (std::int64_t i = 1; i <= 3; ++i) {
+    bus_.send("a", "out", {ser::Value(i)});
+  }
+  EXPECT_EQ(bus_.unacked_total(), 3u);
+  EXPECT_EQ(sim_.run(5), 5u);  // three deliveries, then seq 1's and 2's acks
+  EXPECT_EQ(sim_.now(), 2'000u);
+  EXPECT_EQ(bus_.unacked_total(), 1u);  // seq 0 still waits, 1 and 2 settled
+  sim_.run();
+  EXPECT_EQ(drain_b(), (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(bus_.reliable_stats().retransmits, 0u);
+  EXPECT_EQ(bus_.reliable_stats().acks_delivered, 3u);
+  EXPECT_EQ(bus_.unacked_total(), 0u);
+  // The stream carries on past the settled window.
+  bus_.send("a", "out", {ser::Value(std::int64_t{4})});
+  sim_.run();
+  EXPECT_EQ(drain_b(), (std::vector<std::int64_t>{4}));
+  EXPECT_EQ(bus_.unacked_total(), 0u);
+}
+
 TEST_F(ReliableBusTest, GivesUpAfterMaxAttempts) {
   bus_.set_delivery(bus::DeliveryOptions{.reliable = true, .max_attempts = 3});
   add_pair();

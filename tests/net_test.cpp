@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "net/sim.hpp"
 #include "support/diag.hpp"
 
@@ -40,6 +45,161 @@ TEST(Sim, EqualTimeEventsRunFifo) {
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(Sim, EqualTimeEventsRunFifoAcrossRecycledRecordsAndBoxedClosures) {
+  Simulator sim;
+  // Run a few events first so the records below are recycled ones, handed
+  // out in free-list order rather than scheduling order.
+  for (int i = 0; i < 6; ++i) sim.schedule_after(1, [] {});
+  sim.run();
+  std::vector<int> order;
+  std::array<char, 96> ballast{};  // makes the odd closures too big to inline
+  for (int i = 0; i < 12; ++i) {
+    if (i % 2 == 0) {
+      sim.schedule_after(5, [&order, i] { order.push_back(i); });
+    } else {
+      sim.schedule_after(5, [&order, i, ballast] {
+        order.push_back(i + ballast[0]);
+      });
+    }
+  }
+  sim.run();
+  std::vector<int> want(12);
+  for (int i = 0; i < 12; ++i) want[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(order, want);
+}
+
+TEST(Sim, SmallClosuresAreStoredInline) {
+  // The bus's ack (this + three words), retransmit (this + two words) and
+  // the routers' tick closures (this + weak_ptr) must never be boxed.
+  struct Ack {
+    void* self;
+    std::uint64_t uid, stream, seq;
+    void operator()() const {}
+  };
+  static_assert(sizeof(Ack) == 32);
+  static_assert(Simulator::stores_inline<Ack>());
+  std::weak_ptr<int> alive;
+  int* self = nullptr;
+  auto tick = [self, alive] { (void)self; };
+  static_assert(Simulator::stores_inline<decltype(tick)>());
+  static_assert(Simulator::stores_inline<std::function<void()>>());
+  std::array<char, Simulator::kInlineClosureBytes + 1> big{};
+  auto boxed = [big] { (void)big; };
+  static_assert(!Simulator::stores_inline<decltype(boxed)>());
+  SUCCEED();
+}
+
+/// Counts how many live copies of it are destroyed (moved-from shells do
+/// not count) and how often it runs.
+struct DestroyCounter {
+  int* destroyed;
+  int* runs;
+  bool live = true;
+  DestroyCounter(int* d, int* r) : destroyed(d), runs(r) {}
+  DestroyCounter(DestroyCounter&& o) noexcept
+      : destroyed(o.destroyed), runs(o.runs), live(o.live) {
+    o.live = false;
+  }
+  DestroyCounter(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (live) ++*destroyed;
+  }
+};
+
+TEST(Sim, BoxedClosureRunsAndIsDestroyedExactlyOnce) {
+  int destroyed = 0;
+  int runs = 0;
+  {
+    Simulator sim;
+    std::array<std::uint64_t, 16> payload{};
+    payload[15] = 7;
+    std::uint64_t seen = 0;
+    auto fn = [c = DestroyCounter(&destroyed, &runs), payload, &seen] {
+      ++*c.runs;
+      seen = payload[15];
+    };
+    static_assert(!Simulator::stores_inline<decltype(fn)>());
+    sim.schedule_after(3, std::move(fn));
+    EXPECT_EQ(destroyed, 0);
+    // Grow the pool under the boxed record so it moves while pending.
+    for (int i = 0; i < 64; ++i) sim.schedule_after(1, [] {});
+    sim.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(seen, 7u);
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Sim, InlineClosureRunsAndIsDestroyedExactlyOnce) {
+  int destroyed = 0;
+  int runs = 0;
+  {
+    Simulator sim;
+    auto fn = [c = DestroyCounter(&destroyed, &runs)] { ++*c.runs; };
+    static_assert(Simulator::stores_inline<decltype(fn)>());
+    sim.schedule_after(3, std::move(fn));
+    for (int i = 0; i < 64; ++i) sim.schedule_after(1, [] {});
+    sim.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Sim, EventSchedulingAThousandEventsGrowsThePoolAndKeepsOrder) {
+  Simulator sim;
+  struct Ran {
+    SimTime at;
+    int index;
+  };
+  std::vector<Ran> ran;
+  std::vector<SimTime> due(1000);
+  sim.schedule_after(10, [&] {
+    // Scheduled from inside a running event: the pool grows from one
+    // record to a thousand while this closure is executing.
+    for (int i = 0; i < 1000; ++i) {
+      const SimTime dt = static_cast<SimTime>((i * 7919) % 13);
+      due[static_cast<std::size_t>(i)] = sim.now() + dt;
+      sim.schedule_after(dt, [&ran, &sim, i] { ran.push_back({sim.now(), i}); });
+    }
+    EXPECT_EQ(sim.pending_events(), 1000u);
+  });
+  sim.run();
+  ASSERT_EQ(ran.size(), 1000u);
+  for (std::size_t k = 0; k < ran.size(); ++k) {
+    EXPECT_EQ(ran[k].at, due[static_cast<std::size_t>(ran[k].index)]);
+    if (k > 0) {
+      // (time, seq) order: later time, or same time and scheduled later.
+      const bool ordered =
+          ran[k - 1].at < ran[k].at ||
+          (ran[k - 1].at == ran[k].at && ran[k - 1].index < ran[k].index);
+      EXPECT_TRUE(ordered) << "event " << ran[k].index << " ran after "
+                           << ran[k - 1].index;
+    }
+  }
+}
+
+TEST(Sim, PendingClosuresAreReleasedWhenTheSimulatorIsDestroyed) {
+  auto shared = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    std::array<char, 96> ballast{};
+    for (int i = 0; i < 8; ++i) {
+      sim.schedule_after(static_cast<SimTime>(i), [shared] { ++*shared; });
+      sim.schedule_after(static_cast<SimTime>(i), [shared, ballast] {
+        *shared += ballast[0];
+      });
+    }
+    sim.run(5);  // some ran, the rest stay pending
+    EXPECT_EQ(*shared, 3);
+    EXPECT_EQ(shared.use_count(), 1 + 16 - 5);
+  }
+  EXPECT_EQ(shared.use_count(), 1);
 }
 
 TEST(Sim, EventsCanScheduleEvents) {

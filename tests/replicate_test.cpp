@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "app/runtime.hpp"
+#include "bus/bus.hpp"
 #include "net/arch.hpp"
 #include "profile/telemetry.hpp"
 #include "recover/detector.hpp"
@@ -260,6 +262,124 @@ TEST(Kv, PlacementUsesRingAndDistinctMachines) {
 }
 
 // --- rebuild -----------------------------------------------------------------
+
+// --- router completion across a member swap ----------------------------------
+
+/// A bare bus with the router, one group of two native members and a native
+/// client; the test plays every member's and the client's part, so it
+/// decides exactly who has replied when.
+struct RouterRig {
+  net::Simulator sim;
+  bus::Bus bus{sim};
+  std::unique_ptr<replicate::KvRouter> router;
+
+  RouterRig() {
+    for (const char* m : {"ctl", "m0", "m1", "m2"}) {
+      sim.add_machine(m, net::arch_vax());
+    }
+    router = std::make_unique<replicate::KvRouter>(bus, "ctl", 1, 500, 20'000);
+    add_member("s0x0", "m0");
+    add_member("s0x1", "m1");
+    bus::ModuleInfo client;
+    client.name = "cl";
+    client.machine = "ctl";
+    client.interfaces.push_back(
+        bus::InterfaceSpec{"req", bus::IfaceRole::kClient, "iiii", "iiii"});
+    bus.add_module(std::move(client));
+    bus.add_binding({"cl", "req"}, {router->module_name(), "cli"});
+  }
+  void add_member(const std::string& name, const std::string& machine) {
+    bus::ModuleInfo info;
+    info.name = name;
+    info.machine = machine;
+    info.interfaces.push_back(
+        bus::InterfaceSpec{"req", bus::IfaceRole::kServer, "iiii", "iiii"});
+    bus.add_module(std::move(info));
+    bus.add_binding({name, "req"}, {router->module_name(),
+                                    replicate::KvRouter::group_iface(0)});
+  }
+  void run_for(net::SimTime dt) {
+    const net::SimTime until = sim.now() + dt;
+    while (sim.now() < until && sim.step()) {
+    }
+  }
+  void request(std::int64_t op, std::int64_t seq, std::int64_t value) {
+    bus.send("cl", "req",
+             {ser::Value{op}, ser::Value{seq}, ser::Value{std::int64_t{0}},
+              ser::Value{value}});
+  }
+  /// Drains the member's queue and answers the newest request with
+  /// `value`; false when nothing was queued.
+  bool reply(const std::string& member, std::int64_t value) {
+    std::optional<bus::Message> last;
+    while (auto m = bus.receive(member, "req")) last = std::move(m);
+    if (!last.has_value()) return false;
+    const auto& v = last->values;
+    bus.send(member, "req", {v[0], v[1], v[2], ser::Value{value}});
+    return true;
+  }
+  /// The value of the client's next acknowledgement, if one arrived.
+  std::optional<std::int64_t> ack() {
+    auto m = bus.receive("cl", "req");
+    if (!m.has_value()) return std::nullopt;
+    return m->values[3].as_int();
+  }
+};
+
+TEST(KvRouterCompletion, MemberSwappedMidOperationMustReplyBeforeTheAck) {
+  RouterRig rig;
+  rig.request(1, 1, 42);
+  rig.run_for(3'000);  // router tick + fan-out + remote hop
+  ASSERT_TRUE(rig.reply("s0x0", 42));
+  rig.run_for(3'000);
+  EXPECT_FALSE(rig.ack().has_value()) << "s0x1 has not replied";
+
+  // Rebuild: s0x1 is gone and its heir is bound before it ever saw the op.
+  rig.bus.remove_module("s0x1");
+  rig.add_member("s0x1@2", "m2");
+  EXPECT_EQ(rig.router->members(0),
+            (std::vector<std::string>{"s0x0", "s0x1@2"}));
+  rig.run_for(12'000);  // still short of the 20 ms retry
+  EXPECT_FALSE(rig.reply("s0x1@2", 42)) << "heir saw the op before a retry";
+  EXPECT_FALSE(rig.ack().has_value()) << "acked without the heir's reply";
+  EXPECT_EQ(rig.router->pending_ops(), 1u);
+
+  rig.run_for(5'000);  // the retry re-fans to the current members
+  EXPECT_EQ(rig.router->stats().refans, 1u);
+  rig.run_for(3'000);
+  EXPECT_FALSE(rig.ack().has_value()) << "acked without the heir's reply";
+  ASSERT_TRUE(rig.reply("s0x1@2", 42));
+  rig.run_for(3'000);
+  EXPECT_EQ(rig.ack(), std::optional<std::int64_t>{42});
+  EXPECT_EQ(rig.router->stats().acked_puts, 1u);
+  EXPECT_EQ(rig.router->pending_ops(), 0u);
+
+  // GET agreement over the swapped membership: the ack carries the largest
+  // reply whichever member gave it, and disagreement counts as stale.
+  rig.request(2, 2, 0);
+  rig.run_for(3'000);
+  ASSERT_TRUE(rig.reply("s0x0", 7));
+  ASSERT_TRUE(rig.reply("s0x1@2", 5));
+  rig.run_for(3'000);
+  EXPECT_EQ(rig.ack(), std::optional<std::int64_t>{7});
+  EXPECT_EQ(rig.router->stats().stale_gets, 1u);
+  rig.request(2, 3, 0);
+  rig.run_for(3'000);
+  ASSERT_TRUE(rig.reply("s0x0", 3));
+  ASSERT_TRUE(rig.reply("s0x1@2", 8));
+  rig.run_for(3'000);
+  EXPECT_EQ(rig.ack(), std::optional<std::int64_t>{8});
+  EXPECT_EQ(rig.router->stats().stale_gets, 2u);
+  rig.request(2, 4, 0);
+  rig.run_for(3'000);
+  ASSERT_TRUE(rig.reply("s0x0", 9));
+  ASSERT_TRUE(rig.reply("s0x1@2", 9));
+  rig.run_for(3'000);
+  EXPECT_EQ(rig.ack(), std::optional<std::int64_t>{9});
+  EXPECT_EQ(rig.router->stats().stale_gets, 2u);
+  EXPECT_EQ(rig.router->stats().acked_gets, 3u);
+  EXPECT_EQ(rig.router->stats().late_replies, 0u);
+}
 
 TEST(Rebuild, MachineLossHealsOntoSpareWhileServing) {
   KvFixture f(21, 4, 2, {"m0", "m1", "m2"}, {"sp0"});

@@ -3,6 +3,7 @@
 #include "support/bytes.hpp"
 #include "support/diag.hpp"
 #include "support/format.hpp"
+#include "support/ring.hpp"
 #include "support/rng.hpp"
 #include "support/strutil.hpp"
 
@@ -96,6 +97,40 @@ TEST(Format, RoundTrip) {
 }
 
 // --- strutil -------------------------------------------------------------------
+
+TEST(RingQueue, FifoAcrossWrapAroundAndGrowth) {
+  RingQueue<std::string> q;
+  std::vector<std::string> out;
+  int next = 0;
+  // Interleave pushes and pops so the head walks round the buffer, and
+  // push in bursts so it grows while wrapped.
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < round % 7 + 1; ++i) {
+      q.push_back("m" + std::to_string(next++));
+    }
+    for (int i = 0; i < round % 3 + 1 && !q.empty(); ++i) {
+      out.push_back(q.front());
+      q.pop_front();
+    }
+  }
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(next) - out.size());
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    EXPECT_EQ(q[i], "m" + std::to_string(out.size() + i));
+  }
+  while (!q.empty()) {
+    out.push_back(q.front());
+    q.pop_front();
+  }
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(next));
+  for (int i = 0; i < next; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)], "m" + std::to_string(i));
+  }
+  q.push_back("again");
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  q.push_back("after-clear");
+  EXPECT_EQ(q.front(), "after-clear");
+}
 
 TEST(Strutil, Trim) {
   EXPECT_EQ(trim("  a b  "), "a b");
