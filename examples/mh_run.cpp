@@ -14,7 +14,8 @@
 //   --update <module>=<src.mc>@<t>   hot-swap module for a new version
 //   --optimize                 run the optimizer after the transformation
 //   --liveness                 capture live variables only
-//   --trace                    print every module's output with timestamps
+//   --trace                    turn on the causal flight recorder; print
+//                              its timeline, plus every module's full output
 //   --seed <n>                 simulation seed (default 1)
 //
 // Example (the paper's Figure 1 reconfiguration):
@@ -34,6 +35,7 @@
 #include "minic/sema.hpp"
 #include "opt/optimizer.hpp"
 #include "reconfig/scripts.hpp"
+#include "trace/assemble.hpp"
 #include "vm/compiler.hpp"
 #include "xform/transform.hpp"
 
@@ -164,7 +166,7 @@ int main(int argc, char** argv) {
                 << "-endian)\n";
     }
 
-    if (opts.trace) rt.enable_tracing();
+    if (opts.trace) rt.enable_causal_tracing();
     std::filesystem::path base =
         std::filesystem::path(opts.config_path).parent_path();
     cfg::ConfigFile config = cfg::parse_config(read_file(opts.config_path));
@@ -231,10 +233,9 @@ int main(int argc, char** argv) {
     rt.check_faults();
 
     if (opts.trace) {
-      std::cout << "---- bus trace (" << rt.trace().size() << " events)\n";
-      for (const auto& ev : rt.trace()) {
-        std::cout << "  " << ev.to_string() << "\n";
-      }
+      const trace::Dag dag = trace::assemble(rt.tracer());
+      std::cout << "---- causal trace (" << dag.events.size() << " events)\n"
+                << trace::to_timeline(dag);
     }
     std::cout << "---- finished at t=" << rt.now() / 1e6 << "s; "
               << rt.bus().stats().messages_delivered

@@ -1,7 +1,6 @@
 #include "bus/bus.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/diag.hpp"
 
@@ -29,29 +28,6 @@ bool role_can_send(IfaceRole role) noexcept {
 
 bool role_can_receive(IfaceRole role) noexcept {
   return role != IfaceRole::kDefine;
-}
-
-const char* trace_kind_name(TraceEvent::Kind kind) noexcept {
-  switch (kind) {
-    case TraceEvent::Kind::kSend: return "send";
-    case TraceEvent::Kind::kDeliver: return "deliver";
-    case TraceEvent::Kind::kDrop: return "drop";
-    case TraceEvent::Kind::kSignal: return "signal";
-    case TraceEvent::Kind::kStateDivulged: return "state-divulged";
-    case TraceEvent::Kind::kStateDelivered: return "state-delivered";
-    case TraceEvent::Kind::kRebind: return "rebind";
-    case TraceEvent::Kind::kModuleAdded: return "module-added";
-    case TraceEvent::Kind::kModuleRemoved: return "module-removed";
-    case TraceEvent::Kind::kModuleCrashed: return "module-crashed";
-  }
-  return "?";
-}
-
-std::string TraceEvent::to_string() const {
-  std::ostringstream os;
-  os << "t=" << at << "us " << trace_kind_name(kind) << " " << module;
-  if (!detail.empty()) os << " (" << detail << ")";
-  return os.str();
 }
 
 Bus::ModuleRec& Bus::rec(const std::string& name) {
@@ -211,12 +187,12 @@ void Bus::set_metrics(obs::MetricsRegistry* metrics) {
   for (auto& [name, r] : modules_) resolve_endpoint_metrics(r);
 }
 
-void Bus::set_tracer(trc::Recorder* tracer) {
+void Bus::set_tracer(trace::Recorder* tracer) {
   tracer_ = tracer;
   for (auto& [name, r] : modules_) {
     r.trace_site = tracer_ != nullptr
                        ? tracer_->resolve_site(r.info.machine, name)
-                       : trc::Recorder::Site{};
+                       : trace::Recorder::Site{};
   }
 }
 
@@ -270,13 +246,11 @@ void Bus::add_module(ModuleInfo info) {
   if (tracer_ != nullptr) {
     r.trace_site = tracer_->resolve_site(r.info.machine, name);
   }
-  const std::string detail =
-      "machine=" + r.info.machine + " status=" + r.info.status;
   if (metrics_on()) {
     metrics_->counter("surgeon_bus_modules_added_total").inc();
   }
-  rec_event(trc::EventKind::kModuleAdded, r.info.machine, name, detail);
-  trace(TraceEvent::Kind::kModuleAdded, name, detail);
+  rec_event(trace::EventKind::kModuleAdded, r.info.machine, name,
+            "machine=" + r.info.machine + " status=" + r.info.status);
 }
 
 void Bus::remove_module(const std::string& name) {
@@ -304,13 +278,11 @@ void Bus::remove_module(const std::string& name) {
   for (EndpointId slot : r.slots) release_slot(slot);
   ++module_topology_gen_;
   modules_.erase(name);
-  last_state_ctx_.erase(name);
   rebuild_adjacency();
   if (metrics_on()) {
     metrics_->counter("surgeon_bus_modules_removed_total").inc();
   }
-  rec_event(trc::EventKind::kModuleRemoved, machine, name, "");
-  trace(TraceEvent::Kind::kModuleRemoved, name, "");
+  rec_event(trace::EventKind::kModuleRemoved, machine, name, "");
 }
 
 const ModuleInfo& Bus::module_info(const std::string& name) const {
@@ -443,7 +415,7 @@ void Bus::apply_edit(const BindEdit& edit) {
         to.queue.push_back(std::move(from.queue.front()));
         from.queue.pop_front();
       }
-      rec_event(trc::EventKind::kCapture,
+      rec_event(trace::EventKind::kCapture,
                 machine_of_or(edit.b.module, "bus"), edit.b.module,
                 "from=" + edit.a.module + "." + edit.a.iface +
                     " moved=" + std::to_string(captured),
@@ -514,7 +486,7 @@ void Bus::rebind(const BindEditBatch& batch) {
         list += m;
       }
       last_rebind_ctx_ = rec_event(
-          trc::EventKind::kRebind,
+          trace::EventKind::kRebind,
           control_machine_.empty() ? "bus" : control_machine_,
           batch.edits().front().a.module,
           "edits=" + std::to_string(batch.size()) + " modules=" + list,
@@ -536,8 +508,6 @@ void Bus::rebind(const BindEditBatch& batch) {
                         {1, 4, 16, 64, 256, 1024})
             .observe(batch.size());
       }
-      trace(TraceEvent::Kind::kRebind, batch.edits().front().a.module,
-            std::to_string(batch.size()) + " edits");
     }
   } catch (...) {
     bindings_ = std::move(saved);
@@ -605,13 +575,9 @@ void Bus::drop_stale_arrival(EndpointRef dst, const Message& msg) {
                   {{"module", gone.module}, {"iface", gone.spec.name}})
         .inc();
   }
-  rec_event(trc::EventKind::kDrop, machine_of_or(gone.module, "bus"),
+  rec_event(trace::EventKind::kDrop, machine_of_or(gone.module, "bus"),
             gone.module, gone.spec.name + " (in flight to removed module)",
             msg.trace_ctx);
-  if (trace_) {
-    trace(TraceEvent::Kind::kDrop, gone.module,
-          gone.spec.name + " (in flight to removed module)");
-  }
 }
 
 // --- messaging ----------------------------------------------------------------
@@ -636,31 +602,27 @@ void Bus::send_from(EndpointRef ref, Endpoint& ep,
   }
   ++stats_.messages_sent;
   if (metrics_on()) ep.sent_ctr->inc();
-  trc::TraceContext send_ctx;
+  trace::TraceContext send_ctx;
   if (tracer_on()) {  // guard: skips the record lookup when tracing is off
     // Request tagging: an entry iface opens a fresh request id via a
     // synthetic cause (event == 0 — no false edge, just inheritance);
     // otherwise the send inherits the module's last dequeued request
     // context (invalid for untagged traffic, leaving the event unchanged).
-    trc::TraceContext cause;
+    trace::TraceContext cause;
     if (ep.request_entry) {
       cause.request = tracer_->new_request();
     } else {
       cause = ep.owner->request_ctx;
     }
-    send_ctx = tracer_->record_at(ep.owner->trace_site, trc::EventKind::kSend,
+    send_ctx = tracer_->record_at(ep.owner->trace_site, trace::EventKind::kSend,
                                   ep.owner->info.machine, ep.module,
                                   ep.spec.name, cause);
   }
-  if (trace_) trace(TraceEvent::Kind::kSend, ep.module, ep.spec.name);
   if (ep.peers.empty()) {
     ++stats_.messages_dropped_unbound;
     if (metrics_on()) ep.dropped_ctr->inc();
-    rec_event(trc::EventKind::kDrop, ep.owner->info.machine, ep.module,
+    rec_event(trace::EventKind::kDrop, ep.owner->info.machine, ep.module,
               ep.spec.name + " (unbound)", send_ctx);
-    if (trace_) {
-      trace(TraceEvent::Kind::kDrop, ep.module, ep.spec.name + " (unbound)");
-    }
     return;
   }
   if (delivery_.reliable) {
@@ -681,14 +643,10 @@ void Bus::send_from(EndpointRef ref, Endpoint& ep,
     if (fd.drop) {
       ++rstats_.chaos_drops;
       chaos_metric("surgeon_bus_chaos_drops_total", "message");
-      if (tracer_on() || trace_) {
+      if (tracer_on()) {
         const Endpoint& dst = slab_[endpoint_slot(pl.ref)];
-        rec_event(trc::EventKind::kDrop, *pl.src_machine, dst.module,
+        rec_event(trace::EventKind::kDrop, *pl.src_machine, dst.module,
                   dst.spec.name + " (chaos)", send_ctx);
-        if (trace_) {
-          trace(TraceEvent::Kind::kDrop, dst.module,
-                dst.spec.name + " (chaos)");
-        }
       }
       continue;
     }
@@ -749,7 +707,7 @@ std::optional<Message> Bus::receive(EndpointRef ref) {
     // deliver_into, so the receive closes the queue-wait interval. The
     // module's next sends inherit this context (request attribution).
     ep->owner->request_ctx = tracer_->record_at(
-        ep->owner->trace_site, trc::EventKind::kReceive,
+        ep->owner->trace_site, trace::EventKind::kReceive,
         ep->owner->info.machine, ep->module,
         ep->request_terminal ? ep->spec.name + " (terminal)" : ep->spec.name,
         msg.trace_ctx);
@@ -785,7 +743,7 @@ void Bus::signal_reconfig(const std::string& module) {
         control_machine_.empty() ? r.info.machine : control_machine_;
     tx.uid = r.uid;
     tx.timeout_us = delivery_.retransmit_timeout_us;
-    tx.trace_ctx = rec_event(trc::EventKind::kSignal, tx.from_machine, module,
+    tx.trace_ctx = rec_event(trace::EventKind::kSignal, tx.from_machine, module,
                              "reconfigure requested");
     std::uint64_t id = next_control_id_++;
     control_.emplace(id, std::move(tx));
@@ -794,8 +752,8 @@ void Bus::signal_reconfig(const std::string& module) {
     return;
   }
   std::uint64_t uid = rec(module).uid;
-  trc::TraceContext req_ctx = rec_event(
-      trc::EventKind::kSignal,
+  trace::TraceContext req_ctx = rec_event(
+      trace::EventKind::kSignal,
       control_machine_.empty() ? rec(module).info.machine : control_machine_,
       module, "reconfigure requested");
   sim_->schedule_after(sim_->latency_model().local_us,
@@ -808,9 +766,8 @@ void Bus::signal_reconfig(const std::string& module) {
       metrics_->counter("surgeon_bus_signals_total", {{"module", module}})
           .inc();
     }
-    rec_event(trc::EventKind::kSignal, it->second.info.machine, module,
+    rec_event(trace::EventKind::kSignal, it->second.info.machine, module,
               "reconfigure delivered", req_ctx);
-    trace(TraceEvent::Kind::kSignal, module, "reconfigure");
     wake(it->second);
   });
 }
@@ -840,10 +797,8 @@ void Bus::post_divulged_state(const std::string& module,
     metrics_->counter("surgeon_bus_state_bytes_total").inc(bytes.size());
   }
   last_divulge_ctx_ =
-      rec_event(trc::EventKind::kDivulge, r.info.machine, module,
+      rec_event(trace::EventKind::kDivulge, r.info.machine, module,
                 std::to_string(bytes.size()) + " bytes");
-  trace(TraceEvent::Kind::kStateDivulged, module,
-        std::to_string(bytes.size()) + " bytes");
   if (state_observer_) state_observer_(module, "divulged", bytes);
   r.divulged_state = std::move(bytes);
 }
@@ -885,16 +840,14 @@ void Bus::deliver_state(const std::string& from_machine,
   }
   auto latency = sim_->message_latency(from_machine, dst.info.machine);
   std::uint64_t uid = dst.uid;
-  trc::TraceContext divulge_ctx = last_divulge_ctx_;
+  trace::TraceContext divulge_ctx = last_divulge_ctx_;
   sim_->schedule_after(
       latency, [this, to_module, uid, divulge_ctx, bytes = std::move(bytes)] {
         auto it = modules_.find(to_module);
         if (it == modules_.end() || it->second.uid != uid) return;
-        last_state_ctx_[to_module] = rec_event(
-            trc::EventKind::kStateDeliver, it->second.info.machine, to_module,
+        it->second.state_ctx = rec_event(
+            trace::EventKind::kStateDeliver, it->second.info.machine, to_module,
             std::to_string(bytes.size()) + " bytes", divulge_ctx);
-        trace(TraceEvent::Kind::kStateDelivered, to_module,
-              std::to_string(bytes.size()) + " bytes");
         if (state_observer_) {
           state_observer_(to_module, "delivered", bytes);
         }
@@ -909,8 +862,8 @@ std::optional<std::vector<std::uint8_t>> Bus::take_incoming_state(
   if (!r.incoming_state.has_value()) return std::nullopt;
   auto bytes = std::move(*r.incoming_state);
   r.incoming_state.reset();
-  rec_event(trc::EventKind::kRestore, r.info.machine, module,
-            std::to_string(bytes.size()) + " bytes", last_state_ctx_[module]);
+  rec_event(trace::EventKind::kRestore, r.info.machine, module,
+            std::to_string(bytes.size()) + " bytes", r.state_ctx);
   return bytes;
 }
 
@@ -932,10 +885,11 @@ void Bus::chaos_metric(const char* name, const char* kind) {
   }
 }
 
-trc::TraceContext Bus::rec_event(trc::EventKind kind,
-                                 const std::string& machine,
-                                 const std::string& module, std::string detail,
-                                 const trc::TraceContext& cause) {
+trace::TraceContext Bus::rec_event(trace::EventKind kind,
+                                   const std::string& machine,
+                                   const std::string& module,
+                                   std::string detail,
+                                   const trace::TraceContext& cause) {
   if (!tracer_on()) return {};
   return tracer_->record(kind, machine, module, std::move(detail), cause);
 }
@@ -987,16 +941,15 @@ void Bus::note_module_crashed(const std::string& module, std::string detail) {
     metrics_->counter("surgeon_chaos_crashes_total", {{"module", module}})
         .inc();
   }
-  rec_event(trc::EventKind::kCrash, machine_of_or(module, "bus"), module,
-            detail);
-  trace(TraceEvent::Kind::kModuleCrashed, module, std::move(detail));
+  rec_event(trace::EventKind::kCrash, machine_of_or(module, "bus"), module,
+            std::move(detail));
 }
 
 void Bus::deliver_into(Endpoint& ep, Message msg) {
   if (tracer_on()) {
-    trc::TraceContext deliver_ctx = tracer_->record_at(
-        ep.owner->trace_site, trc::EventKind::kDeliver, ep.owner->info.machine,
-        ep.module, ep.spec.name, msg.trace_ctx);
+    trace::TraceContext deliver_ctx = tracer_->record_at(
+        ep.owner->trace_site, trace::EventKind::kDeliver,
+        ep.owner->info.machine, ep.module, ep.spec.name, msg.trace_ctx);
     // Request-tagged messages carry the deliver context while queued, so
     // the eventual dequeue can record kReceive with the deliver as cause
     // (queue wait = receive.at - deliver.at). Untagged messages keep their
@@ -1009,7 +962,6 @@ void Bus::deliver_into(Endpoint& ep, Message msg) {
     ep.delivered_ctr->inc();
     note_depth(ep);
   }
-  if (trace_) trace(TraceEvent::Kind::kDeliver, ep.module, ep.spec.name);
   wake(*ep.owner);
 }
 
@@ -1063,11 +1015,11 @@ void Bus::transmit_entry(StreamKey stream, std::uint64_t seq, bool retransmit) {
   // the retransmit event (itself caused by the send) for retries — so a
   // receiver's deliver parents on the transmission that actually reached it
   // while entry.msg keeps the original send context for the next retry.
-  trc::TraceContext tx_ctx = entry.msg.trace_ctx;
+  trace::TraceContext tx_ctx = entry.msg.trace_ctx;
   if (retransmit) {
     ++rstats_.retransmits;
     chaos_metric("surgeon_bus_retransmits_total", "message");
-    tx_ctx = rec_event(trc::EventKind::kRetransmit, src_machine,
+    tx_ctx = rec_event(trace::EventKind::kRetransmit, src_machine,
                        owner_ep->module,
                        owner_ep->spec.name + " seq " + std::to_string(seq) +
                            " attempt " + std::to_string(entry.attempts),
@@ -1086,12 +1038,8 @@ void Bus::transmit_entry(StreamKey stream, std::uint64_t seq, bool retransmit) {
     if (fd.drop) {
       ++rstats_.chaos_drops;
       chaos_metric("surgeon_bus_chaos_drops_total", "message");
-      rec_event(trc::EventKind::kDrop, *pl.src_machine, peer.module,
+      rec_event(trace::EventKind::kDrop, *pl.src_machine, peer.module,
                 peer.spec.name + " (chaos)", tx_ctx);
-      if (trace_) {
-        trace(TraceEvent::Kind::kDrop, peer.module,
-              peer.spec.name + " (chaos)");
-      }
     } else {
       Message copy = entry.msg;
       copy.trace_ctx = tx_ctx;
@@ -1137,12 +1085,10 @@ void Bus::arm_retransmit(StreamKey stream, std::uint64_t seq,
           owner_ep != nullptr ? owner_ep->module : "?";
       const std::string owner_iface =
           owner_ep != nullptr ? owner_ep->spec.name : "?";
-      rec_event(trc::EventKind::kDrop, machine_of_or(owner_module, "bus"),
+      rec_event(trace::EventKind::kDrop, machine_of_or(owner_module, "bus"),
                 owner_module,
                 owner_iface + " seq " + std::to_string(seq) + " (gave up)",
                 entry.msg.trace_ctx);
-      trace(TraceEvent::Kind::kDrop, owner_module,
-            owner_iface + " seq " + std::to_string(seq) + " (gave up)");
       ts.settle(entry);
       update_reliable_gauges();
       return;
@@ -1161,22 +1107,15 @@ void Bus::reliable_arrive(EndpointRef dst, Message msg) {
     // The destination is gone; unlike fire-and-forget, this is not a loss:
     // the sender keeps retransmitting toward whoever inherits the binding.
     const Endpoint& gone = slab_[endpoint_slot(dst)];
-    rec_event(trc::EventKind::kDrop, machine_of_or(gone.module, "bus"),
+    rec_event(trace::EventKind::kDrop, machine_of_or(gone.module, "bus"),
               gone.module, gone.spec.name + " (in flight to removed module)",
               msg.trace_ctx);
-    if (trace_) {
-      trace(TraceEvent::Kind::kDrop, gone.module,
-            gone.spec.name + " (in flight to removed module)");
-    }
     return;
   }
   Endpoint& ep = *epp;
   if (ep.rx_retired) {
-    rec_event(trc::EventKind::kDrop, ep.owner->info.machine, ep.module,
+    rec_event(trace::EventKind::kDrop, ep.owner->info.machine, ep.module,
               ep.spec.name + " (retired)", msg.trace_ctx);
-    if (trace_) {
-      trace(TraceEvent::Kind::kDrop, ep.module, ep.spec.name + " (retired)");
-    }
     return;  // no ack: the retransmit follows the rebound binding
   }
   const StreamKey stream = msg.stream;
@@ -1186,12 +1125,8 @@ void Bus::reliable_arrive(EndpointRef dst, Message msg) {
   if (seq < rx.next_expected || rx.ooo.contains(seq)) {
     ++rstats_.dup_discards;
     chaos_metric("surgeon_bus_dups_discarded_total", "message");
-    rec_event(trc::EventKind::kDupDiscard, ep.owner->info.machine, ep.module,
+    rec_event(trace::EventKind::kDupDiscard, ep.owner->info.machine, ep.module,
               ep.spec.name + " seq " + std::to_string(seq), msg.trace_ctx);
-    if (trace_) {
-      trace(TraceEvent::Kind::kDrop, ep.module,
-            ep.spec.name + " (duplicate seq " + std::to_string(seq) + ")");
-    }
     have_it = true;  // re-ack: the first ack may have been lost
   } else if (seq == rx.next_expected) {
     deliver_into(ep, std::move(msg));
@@ -1214,7 +1149,7 @@ void Bus::reliable_arrive(EndpointRef dst, Message msg) {
     // gap closes. Bounds receiver memory under adversarial reordering.
     ++rstats_.ooo_overflow;
     chaos_metric("surgeon_bus_ooo_overflow_total", "message");
-    rec_event(trc::EventKind::kDrop, ep.owner->info.machine, ep.module,
+    rec_event(trace::EventKind::kDrop, ep.owner->info.machine, ep.module,
               ep.spec.name + " seq " + std::to_string(seq) + " (ooo overflow)",
               msg.trace_ctx);
   }
@@ -1311,7 +1246,7 @@ void Bus::transmit_control(std::uint64_t id) {
   if (tx.attempts > 1) {
     ++rstats_.retransmits;
     chaos_metric("surgeon_bus_retransmits_total", kind_str);
-    rec_event(trc::EventKind::kRetransmit, tx.from_machine, tx.target,
+    rec_event(trace::EventKind::kRetransmit, tx.from_machine, tx.target,
               std::string(kind_str) + " attempt " +
                   std::to_string(tx.attempts),
               tx.trace_ctx);
@@ -1323,7 +1258,7 @@ void Bus::transmit_control(std::uint64_t id) {
   if (fd.drop) {
     ++rstats_.chaos_drops;
     chaos_metric("surgeon_bus_chaos_drops_total", kind_str);
-    rec_event(trc::EventKind::kDrop, tx.from_machine, tx.target,
+    rec_event(trace::EventKind::kDrop, tx.from_machine, tx.target,
               std::string(kind_str) + " (chaos)", tx.trace_ctx);
     return;
   }
@@ -1360,10 +1295,8 @@ void Bus::arm_control_retry(std::uint64_t id, net::SimTime timeout_us) {
     if (tx.attempts >= delivery_.max_attempts) {
       ++rstats_.gave_up;
       chaos_metric("surgeon_bus_delivery_gave_up_total", kind_str);
-      rec_event(trc::EventKind::kDrop, tx.from_machine, tx.target,
+      rec_event(trace::EventKind::kDrop, tx.from_machine, tx.target,
                 std::string(kind_str) + " (gave up)", tx.trace_ctx);
-      trace(TraceEvent::Kind::kDrop, tx.target,
-            std::string(kind_str) + " (gave up)");
       control_.erase(it);
       return;
     }
@@ -1392,13 +1325,13 @@ void Bus::apply_signal(const std::string& module, std::uint64_t id) {
   if (it == modules_.end()) return;
   ModuleRec& r = it->second;
   auto ctl_it = control_.find(id);
-  const trc::TraceContext cause =
-      ctl_it == control_.end() ? trc::TraceContext{}
+  const trace::TraceContext cause =
+      ctl_it == control_.end() ? trace::TraceContext{}
                                : ctl_it->second.trace_ctx;
   if (control_applied(r, id)) {
     ++rstats_.dup_discards;
     chaos_metric("surgeon_bus_dups_discarded_total", "signal");
-    rec_event(trc::EventKind::kDupDiscard, r.info.machine, module,
+    rec_event(trace::EventKind::kDupDiscard, r.info.machine, module,
               "signal id " + std::to_string(id), cause);
   } else {
     note_control_applied(r, id);
@@ -1408,9 +1341,8 @@ void Bus::apply_signal(const std::string& module, std::uint64_t id) {
       metrics_->counter("surgeon_bus_signals_total", {{"module", module}})
           .inc();
     }
-    rec_event(trc::EventKind::kSignal, r.info.machine, module,
+    rec_event(trace::EventKind::kSignal, r.info.machine, module,
               "reconfigure delivered", cause);
-    trace(TraceEvent::Kind::kSignal, module, "reconfigure");
     wake(r);
   }
   ack_control(module, id);
@@ -1422,21 +1354,19 @@ void Bus::apply_state(const std::string& module, std::uint64_t id,
   if (it == modules_.end()) return;
   ModuleRec& r = it->second;
   auto ctl_it = control_.find(id);
-  const trc::TraceContext cause =
-      ctl_it == control_.end() ? trc::TraceContext{}
+  const trace::TraceContext cause =
+      ctl_it == control_.end() ? trace::TraceContext{}
                                : ctl_it->second.trace_ctx;
   if (control_applied(r, id)) {
     ++rstats_.dup_discards;
     chaos_metric("surgeon_bus_dups_discarded_total", "state");
-    rec_event(trc::EventKind::kDupDiscard, r.info.machine, module,
+    rec_event(trace::EventKind::kDupDiscard, r.info.machine, module,
               "state id " + std::to_string(id), cause);
   } else {
     note_control_applied(r, id);
-    last_state_ctx_[module] = rec_event(
-        trc::EventKind::kStateDeliver, r.info.machine, module,
-        std::to_string(bytes.size()) + " bytes", cause);
-    trace(TraceEvent::Kind::kStateDelivered, module,
-          std::to_string(bytes.size()) + " bytes");
+    r.state_ctx = rec_event(trace::EventKind::kStateDeliver, r.info.machine,
+                            module, std::to_string(bytes.size()) + " bytes",
+                            cause);
     if (state_observer_) state_observer_(module, "delivered", bytes);
     r.incoming_state = bytes;
     wake(r);

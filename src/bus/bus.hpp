@@ -40,10 +40,6 @@
 
 namespace surgeon::bus {
 
-// The causal flight recorder lives in surgeon::trace; aliased because the
-// Bus also has a (legacy) member function named `trace`.
-namespace trc = ::surgeon::trace;
-
 /// Everything the bus needs to instantiate a module. (The configuration
 /// front end surgeon::cfg produces a richer spec and lowers it to this.)
 struct ModuleInfo {
@@ -82,34 +78,6 @@ class BindEditBatch {
  private:
   std::vector<BindEdit> edits_;
 };
-
-/// One traced bus event. The trace is the platform's flight recorder:
-/// every message send/delivery/drop, signal, state movement, bind-table
-/// change, and module lifecycle transition, with its virtual timestamp.
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    kSend,
-    kDeliver,
-    kDrop,
-    kSignal,
-    kStateDivulged,
-    kStateDelivered,
-    kRebind,
-    kModuleAdded,
-    kModuleRemoved,
-    kModuleCrashed,
-  };
-  net::SimTime at = 0;
-  Kind kind = Kind::kSend;
-  std::string module;  // the module the event concerns
-  std::string detail;  // interface, peer, byte counts, ...
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-[[nodiscard]] const char* trace_kind_name(TraceEvent::Kind kind) noexcept;
-
-using TraceSink = std::function<void(const TraceEvent&)>;
 
 /// Counters exposed for tests and benchmarks.
 struct BusStats {
@@ -173,23 +141,22 @@ struct ReliableStats {
 
 /// Observes state buffers crossing the bus: `phase` is "divulged" when a
 /// module posts its encoded state and "delivered" when a buffer lands in a
-/// clone's decode mailbox. The chaos harness uses this for its
-/// captured-equals-restored byte comparison.
+/// clone's decode mailbox (once per transfer: redeliveries are deduplicated
+/// first). The chaos harness uses this for its captured-equals-restored
+/// byte comparison and to crash a clone as its first state buffer lands.
 using StateObserver = std::function<void(
     const std::string& module, const char* phase,
     const std::vector<std::uint8_t>& bytes)>;
 
-/// Answers the mh_top cluster-telemetry query ("table" or "json"). The bus
-/// itself knows nothing about aggregation: whichever collector is currently
-/// active registers itself here (profile::Collector), and bus::Client::mh_top
-/// forwards to it — so the query keeps working while the collector is being
-/// replaced, served from the instance that currently owns the windows.
-using TopHandler = std::function<std::string(const std::string& format)>;
+/// The bus-routed queries answered by whichever module currently owns the
+/// data: mh_top by the active profile::Collector, mh_slo by the active
+/// slo::Monitor. The bus knows nothing about aggregation; the owner installs
+/// a handler, so a query keeps working while its owner is being replaced,
+/// served from the instance that currently owns the windows.
+enum class Query : std::uint8_t { kTop, kSlo };
 
-/// Answers the mh_slo query ("text" or "json"), same ownership discipline as
-/// TopHandler: whichever slo::Monitor currently owns the objective windows
-/// registers itself, so the query survives monitor replacement.
-using SloHandler = std::function<std::string(const std::string& format)>;
+/// Answers one Query in the requested format ("table"/"text" or "json").
+using QueryHandler = std::function<std::string(const std::string& format)>;
 
 /// Per-module scratch the wake callback keeps in the bus's module record, so
 /// a scheduler resolves the woken module once instead of looking its name
@@ -412,10 +379,6 @@ class Bus {
   /// module: lets the scheduler wake a blocked process.
   void set_wake_callback(WakeCallback cb) { wake_ = std::move(cb); }
 
-  /// Streams every bus event to `sink` (null disables tracing, the
-  /// default; tracing costs one callback per event when enabled).
-  void set_trace(TraceSink sink) { trace_ = std::move(sink); }
-
   /// Attaches a metrics registry (null detaches, the default). Hot-path
   /// series handles (per-interface send/deliver/drop counters and
   /// queue-depth gauges) are resolved once per endpoint here and at
@@ -426,34 +389,23 @@ class Bus {
     return metrics_;
   }
 
-  /// Installs the mh_top query handler. Returns a token identifying this
-  /// installation; a later set overwrites (collector replacement: the clone
-  /// takes over the query). clear_top_handler(token) detaches only if the
-  /// token still names the current handler, so a retiring instance never
-  /// tears down its successor.
-  std::uint64_t set_top_handler(TopHandler handler) {
-    top_handler_ = std::move(handler);
-    return ++top_token_;
+  /// Installs the handler for `query`. Returns a token naming this
+  /// installation, unique across queries; a later set overwrites (owner
+  /// replacement: the clone takes over the query). clear_query_handler
+  /// detaches only if the token still names that query's current handler,
+  /// so a retiring instance never tears down its successor.
+  std::uint64_t set_query_handler(Query query, QueryHandler handler) {
+    QuerySlot& slot = query_slot(query);
+    slot.handler = std::move(handler);
+    slot.token = ++last_query_token_;
+    return slot.token;
   }
-  void clear_top_handler(std::uint64_t token) {
-    if (token == top_token_) top_handler_ = nullptr;
+  void clear_query_handler(Query query, std::uint64_t token) {
+    QuerySlot& slot = query_slot(query);
+    if (token == slot.token) slot.handler = nullptr;
   }
-  [[nodiscard]] const TopHandler& top_handler() const noexcept {
-    return top_handler_;
-  }
-
-  /// Installs the mh_slo query handler (same token discipline as
-  /// set_top_handler: latest installation wins, a stale token never clears
-  /// its successor).
-  std::uint64_t set_slo_handler(SloHandler handler) {
-    slo_handler_ = std::move(handler);
-    return ++slo_token_;
-  }
-  void clear_slo_handler(std::uint64_t token) {
-    if (token == slo_token_) slo_handler_ = nullptr;
-  }
-  [[nodiscard]] const SloHandler& slo_handler() const noexcept {
-    return slo_handler_;
+  [[nodiscard]] const QueryHandler& query_handler(Query query) const noexcept {
+    return queries_[static_cast<std::size_t>(query)].handler;
   }
 
   /// Marks (module, iface) as a request entry point: every message the
@@ -475,8 +427,8 @@ class Bus {
   /// signal/state/rebind/lifecycle action records an event with its causal
   /// parents, and outgoing messages carry a TraceContext header. Per-module
   /// journal slots are pre-resolved here and at add_module.
-  void set_tracer(trc::Recorder* tracer);
-  [[nodiscard]] trc::Recorder* tracer() const noexcept { return tracer_; }
+  void set_tracer(trace::Recorder* tracer);
+  [[nodiscard]] trace::Recorder* tracer() const noexcept { return tracer_; }
 
   [[nodiscard]] net::Simulator& simulator() noexcept { return *sim_; }
   [[nodiscard]] const BusStats& stats() const noexcept { return stats_; }
@@ -621,7 +573,7 @@ class Bus {
     net::SimTime timeout_us = 0;
     /// Causal context of the request event (the divulge for state moves),
     /// carried across control retries so redeliveries keep their cause.
-    trc::TraceContext trace_ctx;
+    trace::TraceContext trace_ctx;
   };
   struct ModuleRec {
     ModuleInfo info;
@@ -635,12 +587,15 @@ class Bus {
     std::uint64_t uid = 0;
     /// Pre-resolved recorder slot for this module's hot-path events (send,
     /// deliver); saves two hash lookups per journaled hop.
-    trc::Recorder::Site trace_site;
+    trace::Recorder::Site trace_site;
     /// Receive context of the last request-tagged message this module
     /// dequeued: subsequent sends inherit its request id (heuristic: a
     /// module's output is attributed to the request it most recently took
     /// off a queue — exact for run-to-completion handlers).
-    trc::TraceContext request_ctx;
+    trace::TraceContext request_ctx;
+    /// Context of the last state delivery, the cause of the module's
+    /// restore event when it decodes the buffer.
+    trace::TraceContext state_ctx;
     /// Sliding window of recently applied control ids (redelivery dedup).
     std::deque<std::uint64_t> applied_control;
     WakeSlot wake_slot;  // the wake callback's per-module cache
@@ -735,9 +690,10 @@ class Bus {
   }
   /// Records a causal event when the flight recorder is on; returns the
   /// context to stamp on outgoing copies (invalid when recording is off).
-  trc::TraceContext rec_event(trc::EventKind kind, const std::string& machine,
-                              const std::string& module, std::string detail,
-                              const trc::TraceContext& cause = {});
+  trace::TraceContext rec_event(trace::EventKind kind,
+                                const std::string& machine,
+                                const std::string& module, std::string detail,
+                                const trace::TraceContext& cause = {});
   [[nodiscard]] std::string machine_of_or(const std::string& module,
                                           const std::string& fallback) const;
   void note_depth(const Endpoint& ep) {
@@ -748,11 +704,13 @@ class Bus {
   void wake(ModuleRec& r) {
     if (wake_) wake_(r.info.name, r.wake_slot);
   }
-  void trace(TraceEvent::Kind kind, const std::string& module,
-             std::string detail) {
-    if (trace_) {
-      trace_(TraceEvent{sim_->now(), kind, module, std::move(detail)});
-    }
+  /// One installed query handler and the token of its installation.
+  struct QuerySlot {
+    QueryHandler handler;
+    std::uint64_t token = 0;
+  };
+  [[nodiscard]] QuerySlot& query_slot(Query query) noexcept {
+    return queries_[static_cast<std::size_t>(query)];
   }
 
   net::Simulator* sim_;
@@ -767,21 +725,15 @@ class Bus {
   std::vector<InFlight> inflight_;
   std::uint32_t inflight_free_ = kNoSlot;
   WakeCallback wake_;
-  TraceSink trace_;
   BusStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  TopHandler top_handler_;
-  std::uint64_t top_token_ = 0;
-  SloHandler slo_handler_;
-  std::uint64_t slo_token_ = 0;
-  trc::Recorder* tracer_ = nullptr;
+  std::array<QuerySlot, 2> queries_;  // indexed by Query
+  std::uint64_t last_query_token_ = 0;
+  trace::Recorder* tracer_ = nullptr;
   /// Last divulge / rebind events: the causal anchors for state deliveries
   /// (divulge happens-before every objstate apply) and queue captures.
-  trc::TraceContext last_divulge_ctx_;
-  trc::TraceContext last_rebind_ctx_;
-  /// Per-module context of the last state delivery, the cause of the
-  /// module's restore event when it decodes the buffer.
-  std::map<std::string, trc::TraceContext> last_state_ctx_;
+  trace::TraceContext last_divulge_ctx_;
+  trace::TraceContext last_rebind_ctx_;
   // Reliable delivery layer (inactive until set_delivery turns it on).
   DeliveryOptions delivery_;
   FaultHook fault_;

@@ -23,21 +23,21 @@ std::string Client::mh_stats(const std::string& format) const {
 }
 
 std::string Client::mh_top(const std::string& format) const {
-  if (format != "table" && format != "json") {
-    throw support::BusError("mh_top: unknown format '" + format +
-                            "' (expected \"table\" or \"json\")");
-  }
-  const TopHandler& handler = bus_->top_handler();
-  if (!handler) return format == "json" ? "{}" : "";
-  return handler(format);
+  return ask(Query::kTop, "mh_top", "table", format);
 }
 
 std::string Client::mh_slo(const std::string& format) const {
-  if (format != "text" && format != "json") {
-    throw support::BusError("mh_slo: unknown format '" + format +
-                            "' (expected \"text\" or \"json\")");
+  return ask(Query::kSlo, "mh_slo", "text", format);
+}
+
+std::string Client::ask(Query query, const char* verb, const char* text_format,
+                        const std::string& format) const {
+  if (format != text_format && format != "json") {
+    throw support::BusError(std::string(verb) + ": unknown format '" + format +
+                            "' (expected \"" + text_format +
+                            "\" or \"json\")");
   }
-  const SloHandler& handler = bus_->slo_handler();
+  const QueryHandler& handler = bus_->query_handler(query);
   if (!handler) return format == "json" ? "{}" : "";
   return handler(format);
 }

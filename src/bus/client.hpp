@@ -136,12 +136,18 @@ class Client {
 
  private:
   /// Cached (iface -> endpoint handle) resolution behind port(), mirroring
-  /// how the bus pre-resolves trc::Recorder::Site slots. A module has a
+  /// how the bus pre-resolves trace::Recorder::Site slots. A module has a
   /// handful of interfaces, so the linear scan is one short string compare.
   struct Port {
     std::string iface;
     EndpointRef ref = kNullEndpointRef;
   };
+
+  /// mh_top/mh_slo: validates `format` against `text_format` and "json",
+  /// then asks whichever handler owns `query` ("" / "{}" when none does).
+  [[nodiscard]] std::string ask(Query query, const char* verb,
+                                const char* text_format,
+                                const std::string& format) const;
 
   Bus* bus_;
   std::string module_;

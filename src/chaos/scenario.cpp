@@ -153,9 +153,12 @@ struct PassResult {
   int attempts = 0;
   std::string new_instance;
   std::string abort_reason;
-  net::SimTime replace_started_at = 0;
+  bool launched = false;  // phase 2, the replacement, has started
+  // Invariant 3 inputs, taken from the flight recorder as events record:
+  // the first divulge and the first rebind after the launch.
+  std::optional<net::SimTime> divulged_at;
+  std::optional<net::SimTime> rebind_at;
   std::vector<std::string> final_modules;  // bus registry when the pass ends
-  std::vector<bus::TraceEvent> trace;
   std::vector<std::vector<std::uint8_t>> divulged;
   std::vector<std::vector<std::uint8_t>> delivered;
   bus::ReliableStats rstats;
@@ -175,30 +178,34 @@ PassResult run_pass(const ScenarioSpec& spec, FaultSource* injector) {
   // every event as it is recorded, before the ring can evict it.
   rt.enable_causal_tracing();
   trace::HbChecker hb_checker;
-  rt.tracer().set_observer(
-      [&hb_checker](const trace::Event& ev) { hb_checker.observe(ev); });
-  rt.bus().set_state_observer(
-      [&pr](const std::string&, const char* phase,
-            const std::vector<std::uint8_t>& bytes) {
-        if (std::string_view(phase) == "divulged") {
-          pr.divulged.push_back(bytes);
-        } else {
-          pr.delivered.push_back(bytes);
-        }
-      });
-  // Trace sink doubles as the crash trigger: killing the clone exactly when
-  // its first state buffer lands is deterministic across retransmissions
-  // (the buffer arrives once; duplicates are deduplicated before tracing).
-  bool crash_armed = injector != nullptr && spec.crash_clone;
-  rt.bus().set_trace([&pr, &rt, &crash_armed](const bus::TraceEvent& ev) {
-    pr.trace.push_back(ev);
-    if (crash_armed && ev.kind == bus::TraceEvent::Kind::kStateDelivered &&
-        ev.module.find('@') != std::string::npos &&
-        rt.module_running(ev.module)) {
-      crash_armed = false;
-      rt.crash_module(ev.module, "chaos: crashed on first state delivery");
+  rt.tracer().add_observer([&hb_checker, &pr](const trace::Event& ev) {
+    hb_checker.observe(ev);
+    if (ev.kind == trace::EventKind::kDivulge && !pr.divulged_at) {
+      pr.divulged_at = ev.at;
+    } else if (ev.kind == trace::EventKind::kRebind && pr.launched &&
+               !pr.rebind_at) {
+      pr.rebind_at = ev.at;
     }
   });
+  // The state observer doubles as the crash trigger: killing the clone
+  // exactly when its first state buffer lands is deterministic across
+  // retransmissions (the buffer arrives once; duplicates are deduplicated
+  // before the "delivered" phase fires).
+  bool crash_armed = injector != nullptr && spec.crash_clone;
+  rt.bus().set_state_observer(
+      [&pr, &rt, &crash_armed](const std::string& module, const char* phase,
+                               const std::vector<std::uint8_t>& bytes) {
+        if (std::string_view(phase) == "divulged") {
+          pr.divulged.push_back(bytes);
+          return;
+        }
+        pr.delivered.push_back(bytes);
+        if (crash_armed && module.find('@') != std::string::npos &&
+            rt.module_running(module)) {
+          crash_armed = false;
+          rt.crash_module(module, "chaos: crashed on first state delivery");
+        }
+      });
 
   auto out_size = [&rt, &roles] {
     vm::Machine* m = rt.machine_of(roles.observer);
@@ -239,7 +246,7 @@ PassResult run_pass(const ScenarioSpec& spec, FaultSource* injector) {
       };
     }
   }
-  pr.replace_started_at = rt.now();
+  pr.launched = true;
   try {
     reconfig::ReplaceReport report =
         reconfig::replace_module(rt, roles.target, options);
@@ -416,28 +423,15 @@ bool check_state_fidelity(const PassResult& pass, ScenarioResult& result) {
 bool check_rebind_after_quiescence(const PassResult& pass,
                                    ScenarioResult& result) {
   if (!pass.replaced) return true;
-  net::SimTime divulged_at = 0;
-  bool saw_divulge = false;
-  for (const auto& ev : pass.trace) {
-    if (ev.kind == bus::TraceEvent::Kind::kStateDivulged) {
-      divulged_at = ev.at;
-      saw_divulge = true;
-      break;
-    }
-  }
-  if (!saw_divulge) {
+  if (!pass.divulged_at) {
     return fail(result, "invariant 3: no state-divulged trace event");
   }
-  for (const auto& ev : pass.trace) {
-    if (ev.kind != bus::TraceEvent::Kind::kRebind) continue;
-    if (ev.at < pass.replace_started_at) continue;  // application load
-    if (ev.at < divulged_at) {
-      return fail(result, "invariant 3: rebind at t=" +
-                              std::to_string(ev.at) +
-                              "us before quiescence at t=" +
-                              std::to_string(divulged_at) + "us");
-    }
-    break;  // only the first post-launch rebind switches the bindings
+  // Only the first post-launch rebind switches the bindings.
+  if (pass.rebind_at && *pass.rebind_at < *pass.divulged_at) {
+    return fail(result, "invariant 3: rebind at t=" +
+                            std::to_string(*pass.rebind_at) +
+                            "us before quiescence at t=" +
+                            std::to_string(*pass.divulged_at) + "us");
   }
   return true;
 }
@@ -551,7 +545,7 @@ KvPassResult run_kv_pass(const ScenarioSpec& spec, FaultSource* injector) {
   rt.enable_metrics();
   rt.enable_causal_tracing();
   trace::HbChecker hb_checker;
-  rt.tracer().set_observer(
+  rt.tracer().add_observer(
       [&hb_checker](const trace::Event& ev) { hb_checker.observe(ev); });
 
   replicate::KvService service(rt, kv);

@@ -172,7 +172,7 @@ Collector::Collector(bus::Bus& bus, std::string module_name,
 }
 
 Collector::~Collector() {
-  bus_->clear_top_handler(top_token_);
+  bus_->clear_query_handler(bus::Query::kTop, top_token_);
   retire();
 }
 
@@ -183,7 +183,8 @@ void Collector::retire() {
 
 void Collector::activate() {
   active_ = true;
-  top_token_ = bus_->set_top_handler(
+  top_token_ = bus_->set_query_handler(
+      bus::Query::kTop,
       [this](const std::string& format) { return top(format); });
 }
 

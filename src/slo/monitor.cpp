@@ -175,7 +175,7 @@ Monitor::Monitor(bus::Bus& bus, std::string module_name, std::string machine,
 }
 
 Monitor::~Monitor() {
-  bus_->clear_slo_handler(slo_token_);
+  bus_->clear_query_handler(bus::Query::kSlo, slo_token_);
   retire();
 }
 
@@ -186,7 +186,8 @@ void Monitor::retire() {
 
 void Monitor::activate() {
   active_ = true;
-  slo_token_ = bus_->set_slo_handler(
+  slo_token_ = bus_->set_query_handler(
+      bus::Query::kSlo,
       [this](const std::string& format) { return report(format); });
 }
 

@@ -54,12 +54,6 @@ void Recorder::remove_observer(ObserverId id) {
       break;
     }
   }
-  if (legacy_observer_ == id) legacy_observer_ = 0;
-}
-
-void Recorder::set_observer(std::function<void(const Event&)> observer) {
-  remove_observer(legacy_observer_);
-  legacy_observer_ = observer ? add_observer(std::move(observer)) : 0;
 }
 
 std::uint64_t Recorder::begin_trace(const std::string& name) {
@@ -133,7 +127,7 @@ TraceContext Recorder::record_impl(Journal& journal, LastEvent& last,
   // The request rides the cause edge only: a synthetic entry context
   // (event == 0, request != 0) seeds it without creating a false edge.
   ev.request = cause.request;
-  ev.at = sim_clock_ != nullptr ? sim_clock_->now() : (clock_ ? clock_() : 0);
+  ev.at = sim_clock_ != nullptr ? sim_clock_->now() : 0;
   ev.kind = kind;
   ev.machine = machine;
   ev.module = module;

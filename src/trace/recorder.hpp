@@ -54,11 +54,7 @@ class Recorder {
   void set_capacity(std::size_t per_machine);
   std::size_t capacity() const { return capacity_; }
 
-  void set_clock(std::function<net::SimTime()> clock) {
-    clock_ = std::move(clock);
-  }
-  /// Fast path for the common case: read the virtual clock straight off
-  /// the simulator instead of through a std::function per event.
+  /// Events are stamped with this simulator's virtual clock (0 when none).
   void set_clock(const net::Simulator* sim) { sim_clock_ = sim; }
 
   // Observers see every event at record time, including ones a full ring
@@ -68,9 +64,6 @@ class Recorder {
   using ObserverId = std::uint64_t;
   ObserverId add_observer(std::function<void(const Event&)> observer);
   void remove_observer(ObserverId id);
-  // Legacy single-slot form: replaces the previous set_observer callback
-  // (and only it), leaving add_observer subscribers untouched.
-  void set_observer(std::function<void(const Event&)> observer);
 
   // Mints a fresh request id for a tagged workload-entry message.  Pass it
   // back inside a synthetic cause context (event == 0) so record_impl
@@ -114,10 +107,8 @@ class Recorder {
   bool enabled_ = false;
   std::size_t capacity_ = 65536;
   const net::Simulator* sim_clock_ = nullptr;
-  std::function<net::SimTime()> clock_;
   std::vector<std::pair<ObserverId, std::function<void(const Event&)>>>
       observers_;
-  ObserverId legacy_observer_ = 0;  // id of the set_observer slot, 0 if none
   ObserverId next_observer_ = 0;
 
   Journal& journal_of(const std::string& machine);

@@ -2,6 +2,7 @@
 
 #include "bus/bus.hpp"
 #include "bus/client.hpp"
+#include "trace/assemble.hpp"
 
 namespace surgeon::bus {
 namespace {
@@ -234,9 +235,50 @@ TEST_F(BusTest, ClientFacade) {
   EXPECT_EQ(decoded->frame_count(), 1u);
 }
 
+TEST_F(BusTest, QuerySlotsAreSeparateAndTokenGuarded) {
+  add_pair();
+  Client client(bus_, "a");
+  // No handler installed: an empty export in either format.
+  EXPECT_EQ(client.mh_top(), "");
+  EXPECT_EQ(client.mh_slo("json"), "{}");
+  EXPECT_THROW((void)client.mh_top("text"), BusError);
+  EXPECT_THROW((void)client.mh_slo("table"), BusError);
+
+  const std::uint64_t top_old = bus_.set_query_handler(
+      Query::kTop, [](const std::string& f) { return "top-old:" + f; });
+  const std::uint64_t slo = bus_.set_query_handler(
+      Query::kSlo, [](const std::string& f) { return "slo:" + f; });
+  // Installing mh_slo left mh_top's handler alone.
+  EXPECT_EQ(client.mh_top("table"), "top-old:table");
+  EXPECT_EQ(client.mh_slo("text"), "slo:text");
+
+  // A replacement installs its handler before the predecessor retires.
+  const std::uint64_t top_new = bus_.set_query_handler(
+      Query::kTop, [](const std::string& f) { return "top-new:" + f; });
+  EXPECT_EQ(client.mh_top("json"), "top-new:json");
+  // The retiring instance's stale token clears neither its successor nor
+  // the other query's handler.
+  bus_.clear_query_handler(Query::kTop, top_old);
+  EXPECT_EQ(client.mh_top("json"), "top-new:json");
+  EXPECT_EQ(client.mh_slo("json"), "slo:json");
+  // Tokens are unique across queries: no mh_top token clears mh_slo.
+  bus_.clear_query_handler(Query::kSlo, top_old);
+  bus_.clear_query_handler(Query::kSlo, top_new);
+  EXPECT_EQ(client.mh_slo("text"), "slo:text");
+
+  // The current token clears exactly its own query.
+  bus_.clear_query_handler(Query::kTop, top_new);
+  EXPECT_EQ(client.mh_top("table"), "");
+  EXPECT_EQ(client.mh_slo("text"), "slo:text");
+  bus_.clear_query_handler(Query::kSlo, slo);
+  EXPECT_EQ(client.mh_slo("json"), "{}");
+}
+
 TEST_F(BusTest, TraceRecordsTheFullEventStory) {
-  std::vector<TraceEvent> events;
-  bus_.set_trace([&](const TraceEvent& ev) { events.push_back(ev); });
+  trace::Recorder rec;
+  rec.set_clock(&sim_);
+  rec.set_enabled(true);
+  bus_.set_tracer(&rec);
   add_pair();
   bus_.send("a", "out", {ser::Value(std::int64_t{1})});
   bus_.signal_reconfig("a");
@@ -246,42 +288,33 @@ TEST_F(BusTest, TraceRecordsTheFullEventStory) {
   sim_.run();
   bus_.remove_module("b");
 
-  std::vector<TraceEvent::Kind> kinds;
+  const std::vector<trace::Event> events = trace::assemble(rec).events;
+  std::vector<trace::EventKind> kinds;
   for (const auto& ev : events) kinds.push_back(ev.kind);
-  EXPECT_EQ(kinds,
-            (std::vector<TraceEvent::Kind>{
-                TraceEvent::Kind::kModuleAdded,   // a
-                TraceEvent::Kind::kModuleAdded,   // b
-                TraceEvent::Kind::kRebind,        // the binding
-                TraceEvent::Kind::kSend,          // a.out at t=0
-                TraceEvent::Kind::kSignal,        // a at t=10 (local)
-                TraceEvent::Kind::kDeliver,       // b.in at t=1000 (remote)
-                TraceEvent::Kind::kStateDivulged, // a, 3 bytes
-                TraceEvent::Kind::kStateDelivered,// b
-                TraceEvent::Kind::kModuleRemoved, // b
-            }));
+  using K = trace::EventKind;
+  EXPECT_EQ(kinds, (std::vector<K>{
+                       K::kModuleAdded,   // a
+                       K::kModuleAdded,   // b
+                       K::kRebind,        // the binding
+                       K::kSend,          // a.out at t=0
+                       K::kSignal,        // a, requested at t=0
+                       K::kSignal,        // a, delivered at t=10 (local)
+                       K::kDeliver,       // b.in at t=1000 (remote)
+                       K::kDivulge,       // a, 3 bytes
+                       K::kStateDeliver,  // b
+                       K::kModuleRemoved, // b
+                   }));
   // Timestamps are the virtual times of the events.
-  EXPECT_EQ(events[3].at, 0u);       // send happens immediately
-  EXPECT_EQ(events[5].at, 1000u);    // cross-machine delivery latency
-  EXPECT_NE(events[6].detail.find("3 bytes"), std::string::npos);
+  EXPECT_EQ(events[3].at, 0u);     // send happens immediately
+  EXPECT_EQ(events[5].at, 10u);    // local signal latency
+  EXPECT_EQ(events[6].at, 1000u);  // cross-machine delivery latency
+  EXPECT_EQ(events[6].module, "b");
+  EXPECT_EQ(events[6].detail, "in");
+  EXPECT_NE(events[7].detail.find("3 bytes"), std::string::npos);
   EXPECT_NE(events[0].detail.find("machine=vax"), std::string::npos);
   // Human-readable rendering.
-  EXPECT_NE(events[5].to_string().find("deliver b (in)"), std::string::npos)
-      << events[5].to_string();
-}
-
-TEST_F(BusTest, TraceDisabledByDefaultAndDetachable) {
-  add_pair();
-  std::size_t count = 0;
-  bus_.set_trace([&](const TraceEvent&) { ++count; });
-  bus_.send("a", "out", {ser::Value(std::int64_t{1})});
-  sim_.run();
-  EXPECT_GT(count, 0u);
-  std::size_t at_detach = count;
-  bus_.set_trace(nullptr);
-  bus_.send("a", "out", {ser::Value(std::int64_t{2})});
-  sim_.run();
-  EXPECT_EQ(count, at_detach);
+  EXPECT_STREQ(trace::kind_name(events[6].kind), "deliver");
+  EXPECT_STREQ(trace::kind_name(events[8].kind), "state_deliver");
 }
 
 TEST_F(BusTest, StatsTrackStateBytes) {

@@ -84,7 +84,7 @@ TEST(Recorder, RingEvictsOldestAndCountsDrops) {
   rec.set_enabled(true);
   rec.set_capacity(4);
   std::size_t observed = 0;
-  rec.set_observer([&observed](const Event&) { ++observed; });
+  rec.add_observer([&observed](const Event&) { ++observed; });
   for (int i = 0; i < 10; ++i) {
     rec.record(EventKind::kSend, "vax", "a", std::to_string(i));
   }
@@ -123,7 +123,7 @@ class TracedBusTest : public ::testing::Test {
     model.local_us = 10;
     model.remote_us = 1000;
     sim_.set_latency_model(model);
-    rec_.set_clock([this] { return sim_.now(); });
+    rec_.set_clock(&sim_);
     rec_.set_enabled(true);
     bus_.set_tracer(&rec_);
     metrics_.set_enabled(true);
@@ -372,7 +372,7 @@ TEST(Replacement, CloneInheritsCapturedQueueContexts) {
 TEST(Replacement, CleanRunPassesTheOnlineChecker) {
   auto rt = make_counter();
   HbChecker checker;
-  rt->tracer().set_observer(
+  rt->tracer().add_observer(
       [&checker](const Event& ev) { checker.observe(ev); });
   rt->enable_causal_tracing();
   rt->run_until(
